@@ -19,6 +19,11 @@ reporting layer uses to surface those effects:
   confidence-interval width;
 * :func:`welch_t_test` / :func:`overlapping_confidence_intervals` -- honest
   comparison of two systems.
+
+Every interval and p-value comes from one exact Student-t, written here in
+pure Python: a continued-fraction incomplete beta and its bracketed Newton
+inverse.  There is no optional backend, so the same data gives the same
+numbers on every machine, and a campaign imports no numeric stack.
 """
 
 from __future__ import annotations
@@ -72,29 +77,74 @@ class SummaryStatistics:
         )
 
 
-# Two-sided 97.5% quantiles of Student's t for small degrees of freedom.
-_T_TABLE_975 = {
-    1: 12.706, 2: 4.303, 3: 3.182, 4: 2.776, 5: 2.571, 6: 2.447, 7: 2.365,
-    8: 2.306, 9: 2.262, 10: 2.228, 11: 2.201, 12: 2.179, 13: 2.160, 14: 2.145,
-    15: 2.131, 16: 2.120, 17: 2.110, 18: 2.101, 19: 2.093, 20: 2.086,
-    25: 2.060, 30: 2.042, 40: 2.021, 60: 2.000, 120: 1.980,
-}
+def _beta_cf(a: float, b: float, x: float) -> float:
+    """Continued fraction of the incomplete beta ``I_x(a, b)`` (modified Lentz)."""
+    tiny = 1e-300
+    c, d = 1.0, 1.0 / (1.0 - (a + b) * x / (a + 1.0) or tiny)
+    h = d
+    for m in range(1, 10000):
+        for numerator in (
+            m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1)),
+        ):
+            d = 1.0 / (1.0 + numerator * d or tiny)
+            c = 1.0 + numerator / c or tiny
+            h *= d * c
+        if abs(d * c - 1.0) < 1e-15:
+            return h
+    raise ArithmeticError(f"incomplete beta did not converge (a={a}, b={b}, x={x})")
 
 
-def _t_quantile_975(dof: int) -> float:
-    """97.5% t quantile; uses scipy when available, else a lookup table."""
-    if dof <= 0:
-        return float("nan")
-    try:
-        from scipy import stats as scipy_stats
+def _log_gamma_ratio(a: float) -> float:
+    """``lgamma(a + 1/2) - lgamma(a)``, without cancelling two large lgammas."""
+    if a < 50.0:
+        return math.lgamma(a + 0.5) - math.lgamma(a)
 
-        return float(scipy_stats.t.ppf(0.975, dof))
-    except Exception:  # pragma: no cover - scipy is normally available
-        keys = sorted(_T_TABLE_975)
-        for key in keys:
-            if dof <= key:
-                return _T_TABLE_975[key]
-        return 1.96
+    def stirling_tail(z: float) -> float:  # terms dropped from the difference are < 1e-16
+        return 1.0 / (12.0 * z) - 1.0 / (360.0 * z ** 3) + 1.0 / (1260.0 * z ** 5)
+
+    leading = a * math.log1p(0.5 / a) + 0.5 * math.log(a) - 0.5
+    return leading + stirling_tail(a + 0.5) - stirling_tail(a)
+
+
+def _t_sf(t: float, dof: float) -> float:
+    """Upper tail ``P(T > t)`` of Student's t; ``dof`` may be any real > 0.
+
+    The tail is ``0.5 * I_x(dof/2, 1/2)`` with ``x = dof / (dof + t**2)``.
+    """
+    if t < 0:
+        return 1.0 - _t_sf(-t, dof)
+    a, b = dof / 2.0, 0.5
+    x, y = dof / (dof + t * t), t * t / (dof + t * t)  # y == 1 - x, without cancellation
+    if x == 0.0 or y == 0.0:
+        return 0.5 * x
+    # x**a * y**b / B(a, b), with lgamma(1/2) == log(sqrt(pi))
+    log_front = _log_gamma_ratio(a) - 0.5 * math.log(math.pi) + b * math.log(y)
+    front = math.exp(log_front - a * math.log1p(t * t / dof))
+    if x < (a + 1.0) / (a + b + 2.0):
+        return 0.5 * front * _beta_cf(a, b, x) / a
+    return 0.5 - 0.5 * front * _beta_cf(b, a, y) / b
+
+
+def _t_quantile(p: float, dof: float) -> float:
+    """Inverse CDF of Student's t: bracketed Newton's method on :func:`_t_sf`."""
+    if not (0.0 < p < 1.0) or not dof > 0:
+        raise ValueError("need 0 < p < 1 and dof > 0")
+    tail = min(p, 1.0 - p)  # solve _t_sf(t) == tail for t >= 0, then restore the sign
+    log_norm = _log_gamma_ratio(dof / 2.0) - 0.5 * math.log(dof * math.pi)
+    low, high = 0.0, math.inf
+    t = -statistics.NormalDist().inv_cdf(tail)
+    for _ in range(200):
+        excess = _t_sf(t, dof) - tail
+        low, high = (t, high) if excess > 0 else (low, t)
+        density = math.exp(log_norm - (dof + 1) / 2 * math.log1p(t * t / dof))
+        step = t + excess / density
+        if not low <= step <= high:  # Newton left the bracket: bisect instead
+            step = (low + high) / 2.0
+        if abs(step - t) <= 1e-13 * t:
+            return step if p >= 0.5 else -step
+        t = step
+    raise ArithmeticError(f"t quantile did not converge (p={p}, dof={dof})")
 
 
 def summarize(values: Sequence[float]) -> SummaryStatistics:
@@ -132,17 +182,7 @@ def confidence_interval(values: Sequence[float], confidence: float = 0.95) -> Tu
     mean = statistics.fmean(data)
     if n == 1:
         return (mean, mean)
-    stddev = statistics.stdev(data)
-    if confidence == 0.95:
-        t = _t_quantile_975(n - 1)
-    else:
-        try:
-            from scipy import stats as scipy_stats
-
-            t = float(scipy_stats.t.ppf(0.5 + confidence / 2.0, n - 1))
-        except Exception:  # pragma: no cover
-            t = _t_quantile_975(n - 1)
-    half = t * stddev / math.sqrt(n)
+    half = _t_quantile(0.5 + confidence / 2.0, n - 1) * statistics.stdev(data) / math.sqrt(n)
     return (mean - half, mean + half)
 
 
@@ -288,23 +328,21 @@ def required_repetitions(
         raise ValueError("need at least two pilot measurements")
     if not (0.0 < target_relative_ci < 1.0):
         raise ValueError("target_relative_ci must be in (0, 1)")
+    if not (0.0 < confidence < 1.0):
+        raise ValueError("confidence must be in (0, 1)")
     mean = statistics.fmean(values)
     stddev = statistics.stdev(values)
     if mean == 0 or stddev == 0:
         return len(values)
     target_halfwidth = abs(mean) * target_relative_ci
     for n in range(2, max_repetitions + 1):
-        t = _t_quantile_975(n - 1) if confidence == 0.95 else _t_quantile_975(n - 1)
-        if t * stddev / math.sqrt(n) <= target_halfwidth:
+        if _t_quantile(0.5 + confidence / 2.0, n - 1) * stddev / math.sqrt(n) <= target_halfwidth:
             return n
     return max_repetitions
 
 
 def welch_t_test(a: Sequence[float], b: Sequence[float]) -> Tuple[float, float]:
-    """Welch's unequal-variance t-test; returns ``(t_statistic, p_value)``.
-
-    Falls back to a normal approximation for the p-value if scipy is missing.
-    """
+    """Welch's unequal-variance t-test; returns ``(t_statistic, two_sided_p_value)``."""
     if len(a) < 2 or len(b) < 2:
         raise ValueError("both samples need at least two values")
     mean_a, mean_b = statistics.fmean(a), statistics.fmean(b)
@@ -312,22 +350,12 @@ def welch_t_test(a: Sequence[float], b: Sequence[float]) -> Tuple[float, float]:
     na, nb = len(a), len(b)
     se = math.sqrt(var_a / na + var_b / nb)
     if se == 0:
-        return (0.0, 1.0) if mean_a == mean_b else (math.inf, 0.0)
+        return (0.0, 1.0) if mean_a == mean_b else (math.copysign(math.inf, mean_a - mean_b), 0.0)
     t = (mean_a - mean_b) / se
     dof_num = (var_a / na + var_b / nb) ** 2
     dof_den = (var_a / na) ** 2 / (na - 1) + (var_b / nb) ** 2 / (nb - 1)
     dof = dof_num / dof_den if dof_den > 0 else na + nb - 2
-    try:
-        from scipy import stats as scipy_stats
-
-        p = float(2.0 * scipy_stats.t.sf(abs(t), dof))
-    except Exception:  # pragma: no cover
-        p = 2.0 * (1.0 - _normal_cdf(abs(t)))
-    return (t, p)
-
-
-def _normal_cdf(x: float) -> float:
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+    return (t, 2.0 * _t_sf(abs(t), dof))
 
 
 def overlapping_confidence_intervals(a: Sequence[float], b: Sequence[float], confidence: float = 0.95) -> bool:

@@ -1,11 +1,18 @@
 """Tests for the statistics helpers."""
 
+import math
+import os
 import statistics
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.core.stats import (
     BIMODALITY_THRESHOLD,
+    _t_quantile,
+    _t_sf,
     bimodality_coefficient,
     bootstrap_ci,
     coefficient_of_variation,
@@ -158,6 +165,13 @@ class TestRequiredRepetitions:
             required_repetitions([1.0])
         with pytest.raises(ValueError):
             required_repetitions([1.0, 2.0], target_relative_ci=0.0)
+        with pytest.raises(ValueError):
+            required_repetitions([1.0, 2.0], confidence=1.0)
+
+    def test_higher_confidence_needs_more_repetitions(self):
+        pilot = [100.0, 130.0, 80.0, 115.0, 90.0]
+        assert required_repetitions(pilot, target_relative_ci=0.05, confidence=0.95) == 60
+        assert required_repetitions(pilot, target_relative_ci=0.05, confidence=0.99) == 103
 
 
 class TestComparisons:
@@ -178,6 +192,10 @@ class TestComparisons:
         t, p = welch_t_test([5.0, 5.0], [5.0, 5.0])
         assert t == 0.0 and p == 1.0
 
+    def test_welch_constant_samples_keep_the_sign_of_the_difference(self):
+        assert welch_t_test([5.0, 5.0], [6.0, 6.0]) == (-math.inf, 0.0)
+        assert welch_t_test([6.0, 6.0], [5.0, 5.0]) == (math.inf, 0.0)
+
     def test_welch_requires_two_samples_each(self):
         with pytest.raises(ValueError):
             welch_t_test([1.0], [1.0, 2.0])
@@ -192,3 +210,101 @@ class TestComparisons:
     def test_speedup_invalid(self):
         with pytest.raises(ValueError):
             speedup_with_uncertainty([], [1.0])
+
+
+# Reference values computed with scipy 1.17.1 (``scipy.stats.t``); the pure-
+# Python Student-t must reproduce them without scipy being importable.
+T_PPF_975 = {
+    1: 12.706204736174694,
+    2: 4.302652729749462,
+    3: 3.1824463052837078,
+    4: 2.7764451051977934,
+    5: 2.5705818356363146,
+    10: 2.228138851986274,
+    21: 2.0796138447276795,
+    29: 2.045229642132703,
+    30: 2.0422724563012378,
+    100: 1.9839715185235518,
+    1000: 1.9623390808264083,
+}
+TWO_SIDED_P = {
+    (3.0, 4.0): 0.03994196807171883,
+    (2.5, 7.3): 0.03965023466560043,
+    (0.4, 3.7): 0.711162461101708,
+    (40.0, 2.0): 0.0006244146721847406,
+}
+REL = 1e-9
+
+
+class TestStudentT:
+    @pytest.mark.parametrize("dof", sorted(T_PPF_975))
+    def test_quantile_975_matches_scipy(self, dof):
+        assert _t_quantile(0.975, dof) == pytest.approx(T_PPF_975[dof], rel=REL)
+
+    def test_other_quantile_levels_match_scipy(self):
+        assert _t_quantile(0.995, 5) == pytest.approx(4.032142983555228, rel=REL)
+        assert _t_quantile(0.95, 12) == pytest.approx(1.782287555649319, rel=REL)
+        assert _t_quantile(0.025, 21) == pytest.approx(-T_PPF_975[21], rel=REL)
+
+    def test_quantile_converges_at_large_dof(self):
+        assert _t_quantile(0.975, 1e6) == pytest.approx(1.959966356814107, rel=REL)
+
+    @pytest.mark.parametrize("t, dof", sorted(TWO_SIDED_P))
+    def test_two_sided_p_value_matches_scipy(self, t, dof):
+        assert 2.0 * _t_sf(t, dof) == pytest.approx(TWO_SIDED_P[(t, dof)], rel=REL)
+
+    def test_tail_is_symmetric(self):
+        assert _t_sf(0.0, 7) == 0.5
+        assert _t_sf(-1.3, 4.5) == pytest.approx(1.0 - _t_sf(1.3, 4.5), rel=1e-15)
+
+    def test_end_to_end_against_scipy(self):
+        a = [10.0, 11.0, 9.0, 10.5, 9.5]
+        b = [12.0, 13.0, 11.5, 12.5, 14.0, 11.0]
+        t, p = welch_t_test(a, b)
+        assert t == pytest.approx(-4.128374772337121, rel=REL)
+        assert p == pytest.approx(0.0026290194688143483, rel=REL)
+        assert confidence_interval(a) == pytest.approx(
+            (9.018378419261222, 10.981621580738778), rel=REL
+        )
+        assert confidence_interval(a, 0.99) == pytest.approx(
+            (8.372206647621107, 11.627793352378893), rel=REL
+        )
+
+    def test_quantile_rejects_out_of_range_arguments(self):
+        for p, dof in ((0.0, 5), (1.0, 5), (0.975, 0)):
+            with pytest.raises(ValueError):
+                _t_quantile(p, dof)
+
+    def test_sweep_against_scipy(self):
+        scipy_t = pytest.importorskip("scipy.stats").t
+        for dof in range(1, 201):
+            for p in (0.9, 0.95, 0.975, 0.995, 0.9995):
+                assert _t_quantile(p, dof) == pytest.approx(float(scipy_t.ppf(p, dof)), rel=REL)
+            for t in (0.01, 0.5, 2.0, 7.5, 60.0):
+                real_dof = dof + 0.37
+                expected = float(scipy_t.sf(t, real_dof))
+                assert _t_sf(t, real_dof) == pytest.approx(expected, rel=REL)
+
+
+def test_campaign_imports_no_numeric_stack(tmp_path):
+    """A CLI campaign computes its statistics without scipy or numpy."""
+    script = (
+        "import sys\n"
+        "from repro.cli import main\n"
+        "code = main(['run', '--axis', 'fs=ext2', '--axis', 'workload=postmark',\n"
+        "             '--scaled-testbed', '0.0625', '--axis', 'max_ops=200',\n"
+        "             '--axis', 'duration_s=0', '--workers', '1', '--no-cache'])\n"
+        "assert code == 0, code\n"
+        "print(sorted(m for m in ('scipy', 'numpy') if m in sys.modules))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert result.stdout.strip().splitlines()[-1] == "[]"
