@@ -60,11 +60,10 @@ def run_once(benchmark, func, *args, **kwargs):
 def record_checks(benchmark):
     """Attach an experiment's qualitative checks to the benchmark record."""
 
-    def _record(result, **extra):
-        checks = result.checks() if hasattr(result, "checks") else {}
+    def _record(checks, **extra):
         benchmark.extra_info.update({f"check:{name}": bool(value) for name, value in checks.items()})
         for key, value in extra.items():
             benchmark.extra_info[key] = value
-        return result
+        return checks
 
     return _record

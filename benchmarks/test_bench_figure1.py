@@ -7,21 +7,23 @@ times higher in the I/O-bound range.
 """
 
 from benchmarks.conftest import run_once
-from repro.experiments import run_figure1
+from repro.experiments import FIGURES, run_figure
 from repro.experiments.config import default_scale
+from repro.experiments.figures import bound_means, drop_factor, figure1_rows, figure1_sweep
 
 
 def test_bench_figure1_ext2(benchmark, record_checks):
-    result = run_once(benchmark, run_figure1, fs_type="ext2", scale=default_scale())
-    rows = {size: (round(mean), round(rsd, 1)) for size, mean, rsd in result.rows()}
-    record_checks(
-        result,
-        memory_bound_mean_ops=round(result.memory_bound_mean()),
-        io_bound_mean_ops=round(result.io_bound_mean()),
-        drop_factor=round(result.drop_factor(), 1),
+    outcome = run_once(benchmark, run_figure, "figure1", fs_types=("ext2",), scale=default_scale())
+    sweep_rows = figure1_rows(figure1_sweep(outcome))
+    memory_bound, io_bound = bound_means(sweep_rows)
+    rows = {size: (round(mean), round(rsd, 1)) for size, mean, rsd in sweep_rows}
+    checks = record_checks(
+        FIGURES["figure1"].checks(outcome),
+        memory_bound_mean_ops=round(memory_bound),
+        io_bound_mean_ops=round(io_bound),
+        drop_factor=round(drop_factor(sweep_rows), 1),
         rows=str(rows),
     )
-    checks = result.checks()
     assert checks["memory_bound_plateau_near_10k_ops"]
     assert checks["order_of_magnitude_drop"]
     assert checks["cliff_between_384_and_512_mb"]

@@ -11,21 +11,29 @@ curve's shape; pass ``--paper-scale`` through the CLI for the full machine.
 """
 
 from benchmarks.conftest import run_once
-from repro.experiments import run_figure2
+from repro.experiments import FIGURES, run_figure
 from repro.experiments.config import default_scale
+from repro.experiments.figures import (
+    endpoint_agreement,
+    figure2_runs,
+    mid_run_spread,
+    warmup_interval_index,
+)
 
 
 def test_bench_figure2_warmup_timelines(benchmark, record_checks):
-    result = run_once(benchmark, run_figure2, fs_types=("ext2", "ext3", "xfs"), scale=default_scale())
-    start_ratio, end_ratio = result.endpoint_agreement()
-    record_checks(
-        result,
+    outcome = run_once(
+        benchmark, run_figure, "figure2", fs_types=("ext2", "ext3", "xfs"), scale=default_scale()
+    )
+    runs = figure2_runs(outcome)
+    start_ratio, end_ratio = endpoint_agreement(runs)
+    checks = record_checks(
+        FIGURES["figure2"].checks(outcome),
         cold_start_cross_fs_ratio=round(start_ratio, 2),
         warm_cross_fs_ratio=round(end_ratio, 2),
-        worst_mid_run_ratio=round(result.mid_run_spread(), 1),
-        warmup_intervals={fs: result.warmup_interval_index(fs) for fs in result.filesystems()},
+        worst_mid_run_ratio=round(mid_run_spread(runs), 1),
+        warmup_intervals={fs: warmup_interval_index(run) for fs, run in runs.items()},
     )
-    checks = result.checks()
     assert checks["similar_when_warm"]
     assert checks["large_mid_run_differences"]
     assert checks["filesystems_warm_at_different_times"]

@@ -7,18 +7,19 @@ magnitude across the three working-set sizes.
 """
 
 from benchmarks.conftest import run_once
-from repro.experiments import run_figure3
+from repro.experiments import FIGURES, run_figure
 from repro.experiments.config import default_scale
+from repro.experiments.figures import figure3_histograms, latency_span_orders
 
 
 def test_bench_figure3_latency_histograms(benchmark, record_checks):
-    result = run_once(benchmark, run_figure3, fs_type="ext2", scale=default_scale())
-    record_checks(
-        result,
-        modes_by_size={size: result.modes_for(size) for size in result.sizes_mb()},
-        latency_span_orders=round(result.latency_span_orders(), 1),
+    outcome = run_once(benchmark, run_figure, "figure3", fs_types=("ext2",), scale=default_scale())
+    histograms = figure3_histograms(outcome)
+    checks = record_checks(
+        FIGURES["figure3"].checks(outcome),
+        modes_by_size={size: histogram.modes() for size, histogram in histograms.items()},
+        latency_span_orders=round(latency_span_orders(histograms), 1),
     )
-    checks = result.checks()
     assert checks["small_file_single_memory_peak"]
     assert checks["medium_file_bimodal"]
     assert checks["large_file_disk_peak_dominates"]

@@ -6,20 +6,21 @@ bi-modal during most of the benchmark's execution.
 """
 
 from benchmarks.conftest import run_once
-from repro.experiments import run_figure4
+from repro.experiments import FIGURES, run_figure
 from repro.experiments.config import default_scale
+from repro.experiments.figures import figure4_timeline, peak_migration
 
 
 def test_bench_figure4_histogram_timeline(benchmark, record_checks):
-    result = run_once(benchmark, run_figure4, fs_type="ext2", scale=default_scale())
-    migration = result.peak_migration()
-    record_checks(
-        result,
-        bimodal_fraction=round(result.bimodal_fraction(), 2),
+    outcome = run_once(benchmark, run_figure, "figure4", fs_types=("ext2",), scale=default_scale())
+    timeline = figure4_timeline(outcome)
+    migration = peak_migration(timeline)
+    checks = record_checks(
+        FIGURES["figure4"].checks(outcome),
+        bimodal_fraction=round(timeline.bimodal_fraction(), 2),
         first_interval_disk_fraction=round(migration[0][1], 2),
         last_interval_disk_fraction=round(migration[-1][1], 2),
     )
-    checks = result.checks()
     assert checks["disk_peak_dominates_early"]
     assert checks["memory_peak_dominates_late"]
     assert checks["disk_peak_fades"]

@@ -25,8 +25,8 @@ def test_bench_scalability(benchmark, record_checks, tmp_path):
     aged = result.series["aged/hdd"]
     ssd = result.series["steady/ssd-ftl"]
     top = result.max_clients
-    record_checks(
-        result,
+    checks = record_checks(
+        result.checks(),
         clients=list(result.clients),
         fresh_hdd_speedup=round(fresh.speedup(top), 2),
         fresh_hdd_p95_degradation=round(fresh.p95_degradation(top), 2),
@@ -39,7 +39,6 @@ def test_bench_scalability(benchmark, record_checks, tmp_path):
         if ssd.gc_time_ns[ssd.baseline] > 0
         else None,
     )
-    checks = result.checks()
     assert checks["aggregate_throughput_sublinear"]
     assert checks["per_client_p95_degrades"]
     assert checks["fresh_hdd_seek_bound_under_load"]

@@ -19,13 +19,12 @@ def test_bench_transition_zoom(benchmark, record_checks):
         fine_step_mb=4,
         target_width_mb=8.0,
     )
-    record_checks(
-        result,
+    checks = record_checks(
+        result.checks(),
         refined_width_mb=result.refined_width_mb(),
         peak_rsd_percent=round(result.peak_rsd_percent(), 1),
         extra_measurements=result.extra_measurements,
     )
-    checks = result.checks()
     assert checks["transition_found"]
     assert checks["transition_narrower_than_coarse_step"]
     assert checks["rsd_spikes_in_transition"]

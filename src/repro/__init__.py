@@ -12,7 +12,7 @@ Python library:
   surveys out over processes with bit-identical results, and the declarative
   :class:`~repro.core.experiment.Experiment` API (parameter grids over named
   axes, tidy :class:`~repro.core.frame.ResultFrame` results) that every
-  legacy harness now shims onto.
+  figure, table and comparison study runs on.
 * :mod:`repro.storage` -- the simulated storage substrate (virtual clock,
   disk/SSD models including the stateful page-mapped FTL with garbage
   collection and TRIM, page cache, readahead, block layer).
@@ -33,7 +33,8 @@ Python library:
   integrity-checked ``.frpack`` campaign artifacts (pack/merge/verify/query
   behind ``fsbench-rocket results``) that plug back into execution as a
   read-through cache tier.
-* :mod:`repro.experiments` -- one harness per figure/table of the paper.
+* :mod:`repro.experiments` -- the paper's figures as registered experiment
+  definitions, plus its table and the comparison studies.
 
 Quick start::
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import os
 import tempfile
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -146,19 +145,11 @@ def run_aged_vs_fresh(
         caller owns them -- pass an explicit ``snapshot_dir`` (or delete the
         reported paths) to manage their lifetime.
 
-    .. deprecated:: 1.3
-        Thin shim: each file system's fresh/aged pair is one
-        :class:`~repro.core.experiment.Experiment` with a two-valued
-        ``snapshot`` axis; declare that grid directly for custom aged
-        comparisons (more file systems, more workloads, more snapshots --
-        all just axes).
+    Aging has to happen before the grid exists, so this is not one static
+    grid: each file system is aged and snapshotted, then its fresh/aged pair
+    runs as one :class:`~repro.core.experiment.Experiment` with a two-valued
+    ``snapshot`` axis.
     """
-    warnings.warn(
-        "run_aged_vs_fresh is a deprecation shim; declare an Experiment with "
-        "a snapshot axis instead (repro.core.experiment)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
     testbed = testbed if testbed is not None else paper_testbed()
     if aging is None:
         from repro.aging.engines import quick_aging_config

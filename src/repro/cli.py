@@ -57,10 +57,13 @@ any checkout can mount as a read-through cache tier::
         --pack campaign.frpack
     fsbench-rocket cache .fsbench-cache   # inspect / integrity-scan / --clear
 
-The legacy harness commands remain as shims over the same engine::
+The paper's figures are registered experiment definitions
+(:data:`repro.experiments.FIGURES`), one verb each, and the tables and the
+comparison studies have their own verbs over the same engine::
 
     fsbench-rocket table1 [--measured --quick]
     fsbench-rocket figure1 --fs ext2
+    fsbench-rocket figure2 --fs ext2 --fs xfs
     fsbench-rocket suite --quick --fs ext4 --fs xfs --workers 4
     fsbench-rocket survey --quick --workers 0
     fsbench-rocket age --quick --fs ext4 --out aged-ext4.snapshot.json
@@ -89,12 +92,10 @@ from repro.core.suite import NanoBenchmarkSuite
 from repro.core.survey import MeasuredSurvey
 from repro.fs.stack import DEFAULT_FS_TYPES
 from repro.experiments import (
+    FIGURES,
     default_scale,
     paper_scale,
-    run_figure1,
-    run_figure2,
-    run_figure3,
-    run_figure4,
+    run_figure,
     run_fresh_vs_steady,
     run_scalability,
     run_table1,
@@ -488,61 +489,56 @@ def _build_parser() -> argparse.ArgumentParser:
         "re-run is verified bit-for-bit against the packed entry (repeatable)",
     )
 
-    for name, needs_fs in (
-        ("figure1", True),
-        ("figure2", False),
-        ("figure3", True),
-        ("figure4", True),
-        ("zoom", True),
-        ("table1", False),
-    ):
+    for name, figure in FIGURES.items():
         sub = subparsers.add_parser(name, help=f"regenerate {name}")
-        if needs_fs:
-            sub.add_argument("--fs", default="ext2", choices=DEFAULT_FS_TYPES)
-        if name == "figure2":
+        if figure.compares_fs:
             sub.add_argument(
                 "--fs",
                 action="append",
                 choices=DEFAULT_FS_TYPES,
                 help="file systems to compare (repeatable; default the paper's three)",
             )
-        if name == "table1":
-            sub.add_argument(
-                "--measured",
-                action="store_true",
-                help="also run the measured survey counterpart across the full file-system grid",
-            )
-            sub.add_argument(
-                "--fs",
-                action="append",
-                choices=DEFAULT_FS_TYPES,
-                help="file systems for --measured (repeatable; default all four)",
-            )
-            sub.add_argument(
-                "--quick",
-                action="store_true",
-                help="smaller filesets and fewer repetitions for --measured",
-            )
-            sub.add_argument(
-                "--scaled-testbed",
-                type=_testbed_fraction,
-                default=None,
-                metavar="FRACTION",
-                help="shrink the simulated machine by this factor for --measured",
-            )
-            sub.add_argument(
-                "--workers",
-                type=_nonnegative_int,
-                default=1,
-                metavar="N",
-                help="worker processes for --measured (0 = one per CPU; default 1, serial)",
-            )
-            sub.add_argument(
-                "--cache-dir",
-                default=None,
-                metavar="DIR",
-                help="persist --measured cells here and skip them on re-runs (default: no cache)",
-            )
+        else:
+            sub.add_argument("--fs", default=figure.default_fs[0], choices=DEFAULT_FS_TYPES)
+    zoom = subparsers.add_parser("zoom", help="regenerate zoom")
+    zoom.add_argument("--fs", default="ext2", choices=DEFAULT_FS_TYPES)
+    table1 = subparsers.add_parser("table1", help="regenerate table1")
+    table1.add_argument(
+        "--measured",
+        action="store_true",
+        help="also run the measured survey counterpart across the full file-system grid",
+    )
+    table1.add_argument(
+        "--fs",
+        action="append",
+        choices=DEFAULT_FS_TYPES,
+        help="file systems for --measured (repeatable; default all four)",
+    )
+    table1.add_argument(
+        "--quick",
+        action="store_true",
+        help="smaller filesets and fewer repetitions for --measured",
+    )
+    table1.add_argument(
+        "--scaled-testbed",
+        type=_testbed_fraction,
+        default=None,
+        metavar="FRACTION",
+        help="shrink the simulated machine by this factor for --measured",
+    )
+    table1.add_argument(
+        "--workers",
+        type=_nonnegative_int,
+        default=1,
+        metavar="N",
+        help="worker processes for --measured (0 = one per CPU; default 1, serial)",
+    )
+    table1.add_argument(
+        "--cache-dir",
+        default=None,
+        metavar="DIR",
+        help="persist --measured cells here and skip them on re-runs (default: no cache)",
+    )
 
     suite = subparsers.add_parser("suite", help="run the multi-dimensional nano-benchmark suite")
     survey = subparsers.add_parser(
@@ -744,7 +740,7 @@ def _run_list(args) -> int:
     for name in SCHEDULER_REGISTRY:
         print(f"  {name}")
     print()
-    print("Experiments (subcommands; shims over the Experiment API):")
+    print("Experiments (subcommands, all run through the Experiment API):")
     for name, (_, description) in EXPERIMENT_REGISTRY.items():
         print(f"  {name:<15} {description}")
     print()
@@ -1014,6 +1010,15 @@ def _run_bench_diff(args) -> int:
         print(f"fsbench-rocket: error: {error}", file=sys.stderr)
         return 2
     print(diff.render())
+    if not diff.deltas:
+        # Nothing was compared, so nothing was gated; passing would let a
+        # renamed or empty baseline switch the regression gate off.
+        print(
+            "fsbench-rocket: error: the two files share no benchmark; "
+            "there is nothing to compare",
+            file=sys.stderr,
+        )
+        return 2
     if diff.exit_code and args.warn_only:
         logger.warning("regressions beyond threshold, but --warn-only requested: exit 0")
         return 0
@@ -1140,20 +1145,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             ).render()
         )
         return 0
-    if args.command == "figure1":
-        print(run_figure1(fs_type=args.fs, scale=scale).render())
-        return 0
-    if args.command == "figure2":
-        # Figure 2 reproduces the paper's curve, so its default grid stays
-        # the paper's trio; ext4 joins on request via --fs.
-        fs_types = tuple(args.fs) if args.fs else ("ext2", "ext3", "xfs")
-        print(run_figure2(fs_types=fs_types, scale=scale).render())
-        return 0
-    if args.command == "figure3":
-        print(run_figure3(fs_type=args.fs, scale=scale).render())
-        return 0
-    if args.command == "figure4":
-        print(run_figure4(fs_type=args.fs, scale=scale).render())
+    if args.command in FIGURES:
+        figure = FIGURES[args.command]
+        # A comparing figure's --fs is repeatable and defaults to the
+        # figure's own set; every other figure's --fs is one name.
+        fs_types = tuple(args.fs or figure.default_fs) if figure.compares_fs else (args.fs,)
+        print(figure.render(run_figure(args.command, scale=scale, fs_types=fs_types), scale))
         return 0
     if args.command == "zoom":
         print(run_transition_zoom(fs_type=args.fs, scale=scale).render())

@@ -487,14 +487,15 @@ class ParallelExecutor:
         Optional :class:`ResultCache`.  Hits skip execution entirely; every
         fresh result is stored on completion.
     telemetry:
-        Optional :class:`~repro.obs.telemetry.TelemetrySink`.  When attached
-        the executor emits one lifecycle event per unit (``queued``, then a
-        terminal ``cache-hit``/``pack-hit``/``exec-done``/``failed``, with
-        ``exec-start`` carrying a fresh execution's true start stamp) and
-        runs fresh units under the wall-clock phase profiler
-        (:mod:`repro.obs.profile`).  Telemetry is observation only: results,
-        cache keys and serialized payloads are byte-identical with a sink
-        attached or not (pinned in ``tests/test_telemetry.py``).
+        Optional :class:`~repro.obs.telemetry.TelemetrySink`.  Fresh units
+        always run under the wall-clock phase profiler
+        (:mod:`repro.obs.profile`); when a sink is attached the executor
+        turns those timings into one lifecycle event stream per unit
+        (``queued``, then a terminal ``cache-hit``/``pack-hit``/
+        ``exec-done``/``failed``, with ``exec-start`` carrying a fresh
+        execution's true start stamp).  Telemetry is observation only:
+        results, cache keys and serialized payloads are byte-identical with a
+        sink attached or not (pinned in ``tests/test_telemetry.py``).
 
     Determinism: results are returned in work-unit order and each unit's
     randomness is fully determined by its own seed, so the output is
@@ -568,11 +569,9 @@ class ParallelExecutor:
                     continue
             pending.append(index)
 
-        def _store(
-            index: int, run: RunResult, timing: Optional[UnitTiming] = None
-        ) -> None:
+        def _store(index: int, run: RunResult, timing: UnitTiming) -> None:
             self._cache_put(keys.get(index), run, timing)
-            if sink is not None and timing is not None:
+            if sink is not None:
                 sink.emit(
                     _unit_event(
                         "exec-start", units[index], keys[index], worker=timing.pid
@@ -597,10 +596,8 @@ class ParallelExecutor:
         self._execute([units[i] for i in pending], pending, _store, keys)
         return results  # type: ignore[return-value]
 
-    def _cache_put(
-        self, key: Optional[str], run: RunResult, timing: Optional[UnitTiming]
-    ) -> None:
-        """Store a fresh result; under telemetry, measure the serialization.
+    def _cache_put(self, key: Optional[str], run: RunResult, timing: UnitTiming) -> None:
+        """Store a fresh result and measure the serialization.
 
         The ``serialize`` phase happens in the parent process (the worker
         never touches the cache), so it is bracketed here with a private
@@ -608,9 +605,6 @@ class ParallelExecutor:
         ``exec-done`` event is emitted.
         """
         if self.cache is None or key is None:
-            return
-        if timing is None:
-            self.cache.put(key, run)
             return
         from repro.obs import profile
 
@@ -648,24 +642,18 @@ class ParallelExecutor:
         return sets
 
     # ------------------------------------------------------------- internals
-    def _run_local(self, unit: WorkUnit, key: str):
-        """Execute one unit in-process, returning ``store`` arguments.
+    def _run_local(self, unit: WorkUnit, key: str) -> Tuple[RunResult, UnitTiming]:
+        """Execute one unit in-process under the phase profiler.
 
-        Without a sink this is a plain ``execute_unit`` call -- the
-        telemetry-off path stays structurally identical to before the
-        feature existed.  With a sink, the unit runs under the phase
-        profiler and a ``failed`` event is emitted before any exception
-        propagates, so no unit ever vanishes from the event log.
+        With a sink attached a ``failed`` event is emitted before any
+        exception propagates, so no unit ever vanishes from the event log.
         """
-        sink = self.telemetry
-        if sink is None:
-            return (execute_unit(unit),)
         try:
-            run, timing = timed_execute(unit)
+            return timed_execute(unit)
         except Exception as error:
-            sink.emit(_unit_event("failed", unit, key, error=repr(error)))
+            if self.telemetry is not None:
+                self.telemetry.emit(_unit_event("failed", unit, key, error=repr(error)))
             raise
-        return (run, timing)
 
     def _execute(
         self,
@@ -674,7 +662,7 @@ class ParallelExecutor:
         store: Callable[..., None],
         keys: Dict[int, str],
     ) -> None:
-        """Run ``units`` and hand each result to ``store(original_index, run)``.
+        """Run ``units`` and hand each to ``store(original_index, run, timing)``.
 
         Delivery order is completion order (so progress hooks stream), but
         ``store`` places results by index, so callers always observe unit
@@ -692,17 +680,16 @@ class ParallelExecutor:
 
         workers = min(self.n_workers, len(units))
         delivered = set()
-        run_fn = execute_unit if sink is None else timed_execute
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = {
-                    pool.submit(run_fn, unit): position
+                    pool.submit(timed_execute, unit): position
                     for position, unit in enumerate(units)
                 }
                 for future in as_completed(futures):
                     position = futures[future]
                     try:
-                        outcome = future.result()
+                        run, timing = future.result()
                     except BrokenProcessPool:
                         raise
                     except Exception as error:
@@ -716,11 +703,7 @@ class ParallelExecutor:
                                 )
                             )
                         raise
-                    if sink is None:
-                        store(indices[position], outcome)
-                    else:
-                        run, timing = outcome
-                        store(indices[position], run, timing)
+                    store(indices[position], run, timing)
                     delivered.add(position)
         except BrokenProcessPool:  # pragma: no cover - sandboxed hosts
             # Workers could not be spawned (hosts that forbid subprocess

@@ -20,13 +20,7 @@ from typing import Dict, List, Optional, Sequence
 from repro.core.benchmark import NanoBenchmark
 from repro.core.dimensions import Dimension, DimensionVector
 from repro.core.experiment import Experiment, ParameterGrid
-from repro.core.parallel import (
-    ParallelExecutor,
-    ResultCache,
-    WorkUnit,
-    benchmark_units,
-    group_label,
-)
+from repro.core.parallel import ParallelExecutor, ResultCache, group_label
 from repro.core.results import RepetitionSet
 from repro.core.runner import BenchmarkConfig, WarmupMode
 from repro.fs.stack import DEFAULT_FS_TYPES
@@ -231,42 +225,6 @@ class NanoBenchmarkSuite:
         cache = ResultCache(self.cache_dir) if self.cache_dir else None
         return ParallelExecutor(n_workers=self.n_workers, cache=cache)
 
-    def work_units(self, fs_types: Sequence[str]) -> List[WorkUnit]:
-        """Every (benchmark, file system, repetition) unit of a suite run.
-
-        Duplicate file system names are dropped (keeping first occurrence),
-        matching the old serial loop where a repeated ``--fs`` simply
-        overwrote the same result cell.
-        """
-        fingerprint = None
-        if self.snapshot_path is not None:
-            # Imported lazily: the aging subsystem sits above the core layer.
-            from repro.aging.snapshot import load_snapshot_cached
-
-            snapshot = load_snapshot_cached(self.snapshot_path)
-            fingerprint = snapshot.fingerprint
-            mismatched = [fs for fs in dict.fromkeys(fs_types) if fs != snapshot.fs_type]
-            if mismatched:
-                # Fail before any measurement runs, not per-unit in a worker.
-                raise ValueError(
-                    f"snapshot {self.snapshot_path} holds {snapshot.fs_type!r} state; "
-                    f"it cannot be restored as {', '.join(repr(fs) for fs in mismatched)} "
-                    f"(run with --fs {snapshot.fs_type})"
-                )
-        units: List[WorkUnit] = []
-        for benchmark in self.benchmarks:
-            for fs_type in dict.fromkeys(fs_types):
-                units.extend(
-                    benchmark_units(
-                        benchmark,
-                        fs_type,
-                        testbed=self.testbed,
-                        snapshot_path=self.snapshot_path,
-                        snapshot_fingerprint=fingerprint,
-                    )
-                )
-        return units
-
     def as_experiment(self, fs_types: Sequence[str] = DEFAULT_FS_TYPES) -> Experiment:
         """This suite as a declarative :class:`~repro.core.experiment.Experiment`.
 
@@ -274,9 +232,9 @@ class NanoBenchmarkSuite:
         aging snapshot when configured -- expanded workload-major exactly
         like the legacy serial loop.  Duplicate file system names are
         dropped (keeping first occurrence), matching the old behaviour where
-        a repeated ``--fs`` simply overwrote the same result cell.  Cells and
-        cache keys are identical to what :meth:`work_units` produces, so a
-        suite run and an equivalent experiment run share every cache entry.
+        a repeated ``--fs`` simply overwrote the same result cell.  A
+        snapshot holding another file system's state is rejected when the
+        cells are expanded, before anything runs.
         """
         if not fs_types:
             raise ValueError("fs_types must not be empty")

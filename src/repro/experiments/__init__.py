@@ -1,27 +1,28 @@
-"""Experiment harnesses: one module per figure/table of the paper.
+"""The paper's figures and tables, and the experiments built around them.
 
-Each harness builds the exact workload and measurement protocol of the
-corresponding experiment in Section 3 of the paper (or the survey behind
-Table 1), runs it on the simulated stack and returns a result object that can
-render itself as text and check the paper's qualitative claims against the
-measured data.  The ``benchmarks/`` directory exposes each harness through
-pytest-benchmark, and ``EXPERIMENTS.md`` records paper-vs-measured values.
+Figures 1-4 are :class:`~repro.experiments.figures.Figure` definitions in
+:data:`FIGURES`: each declares the exact workload and measurement protocol
+of its experiment in Section 3 of the paper as one
+:class:`~repro.core.experiment.Experiment`, plus pure functions that turn
+the result into a frame, the paper's qualitative checks and a text
+rendering; :func:`run_figure` runs any of them.  The other entries --
+Table 1, the transition zoom, aged-vs-fresh, fresh-vs-steady SSD,
+scalability -- are engines with their own result objects, because they are
+not one static grid (the zoom bisects adaptively, aged-vs-fresh ages a file
+system first).  The ``benchmarks/`` directory regenerates each of them under
+pytest-benchmark.
 
-All harnesses accept ``paper_scale=True`` to run the original durations and
-repetition counts; the defaults are shortened so the full set regenerates in
-minutes.
-
-Since the experiment-API redesign every harness is a thin deprecation shim
-over :class:`repro.core.experiment.Experiment`; ``EXPERIMENT_REGISTRY`` maps
-the stable harness names (as printed by ``fsbench-rocket list``) to those
-shims.
+Every experiment takes an :class:`ExperimentScale`: :func:`default_scale`
+shortens the protocol so the full set regenerates in minutes and
+:func:`paper_scale` runs the original durations and repetition counts.
+``EXPERIMENT_REGISTRY`` maps the stable names ``fsbench-rocket list`` prints
+to a runner and a one-line description.
 """
 
+from functools import partial
+
 from repro.experiments.config import ExperimentScale, default_scale, paper_scale
-from repro.experiments.figure1 import Figure1Result, run_figure1
-from repro.experiments.figure2 import Figure2Result, run_figure2
-from repro.experiments.figure3 import Figure3Result, run_figure3
-from repro.experiments.figure4 import Figure4Result, run_figure4
+from repro.experiments.figures import FIGURES, Figure, run_figure
 from repro.experiments.scalability import (
     ScalabilityResult,
     run_scalability,
@@ -39,10 +40,7 @@ def _registry():
     from repro.core.survey import MeasuredSurvey
 
     return {
-        "figure1": (run_figure1, "throughput + relative stddev vs file size (the cache cliff)"),
-        "figure2": (run_figure2, "cache warm-up timelines across file systems"),
-        "figure3": (run_figure3, "read-latency histograms across working-set sizes"),
-        "figure4": (run_figure4, "latency histograms sampled per interval over a warm-up run"),
+        **{name: (partial(run_figure, name), figure.description) for name, figure in FIGURES.items()},
         "table1": (run_table1, "the benchmark-usage survey (add --measured to execute it)"),
         "zoom": (run_transition_zoom, "bisect the memory-to-disk transition region"),
         "aged-vs-fresh": (run_aged_vs_fresh, "same benchmark on fresh vs realistically aged state"),
@@ -76,14 +74,9 @@ __all__ = [
     "ExperimentScale",
     "default_scale",
     "paper_scale",
-    "Figure1Result",
-    "run_figure1",
-    "Figure2Result",
-    "run_figure2",
-    "Figure3Result",
-    "run_figure3",
-    "Figure4Result",
-    "run_figure4",
+    "FIGURES",
+    "Figure",
+    "run_figure",
     "TransitionZoomResult",
     "run_transition_zoom",
     "Table1Result",

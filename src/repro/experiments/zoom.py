@@ -13,19 +13,15 @@ measures how the relative standard deviation spikes inside it.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Optional
 
 from repro.analysis.transition import TransitionRegion, find_transition, refine_transition
-from repro.core.experiment import Experiment, ParameterGrid
-from repro.core.parallel import group_label
 from repro.core.report import checks_line, sweep_table
 from repro.core.results import RepetitionSet, SweepResult
-from repro.core.runner import BenchmarkConfig, WarmupMode
 from repro.experiments.config import ExperimentScale, MiB, default_scale
+from repro.experiments.figures import FIGURES
 from repro.storage.config import TestbedConfig, paper_testbed
-from repro.workloads.micro import random_read_workload
 
 
 @dataclass
@@ -91,40 +87,23 @@ def run_transition_zoom(
 ) -> TransitionZoomResult:
     """Locate the Figure-1 cliff, bisect it, and sweep finely across it.
 
-    .. deprecated:: 1.3
-        Thin shim: every measurement is one single-cell
-        :class:`~repro.core.experiment.Experiment` run (the zoom is adaptive,
-        so the grid is built one point at a time).
+    The zoom is adaptive, so it cannot be one static grid: every measurement
+    is Figure 1's experiment (:data:`~repro.experiments.figures.FIGURES`)
+    built for a single file size and run on its own.
     """
-    warnings.warn(
-        "run_transition_zoom is a deprecation shim; drive single-cell "
-        "Experiments from your own bisection instead (repro.core.experiment)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
     scale = scale if scale is not None else default_scale()
     scale.validate()
     testbed = testbed if testbed is not None else paper_testbed()
-
-    config = BenchmarkConfig(
-        duration_s=scale.figure1_duration_s,
-        # The run-to-run spread inside the transition region is the result;
-        # a handful of repetitions is the minimum needed to estimate it.
-        repetitions=max(5, scale.figure1_repetitions),
-        warmup_mode=WarmupMode.PREWARM,
-        interval_s=max(1.0, scale.figure1_duration_s / 5.0),
-        seed=seed,
-    )
+    # The run-to-run spread inside the transition region is the result;
+    # a handful of repetitions is the minimum needed to estimate it.
+    zoom_scale = replace(scale, figure1_repetitions=max(5, scale.figure1_repetitions))
+    build_figure1 = FIGURES["figure1"].build
 
     def measure(size_bytes: float) -> RepetitionSet:
-        spec = random_read_workload(int(size_bytes))
-        outcome = Experiment(
-            grid=ParameterGrid.of(workload=[spec], fs=[fs_type]),
-            name="transition-zoom",
-            config=config,
-            testbed=testbed,
-        ).run()
-        repetitions = outcome.sets[group_label(spec.name, fs_type)]
+        experiment = build_figure1(
+            replace(zoom_scale, figure1_sizes_mb=(size_bytes / MiB,)), (fs_type,), testbed, seed
+        )
+        (repetitions,) = experiment.run().sets.values()
         return RepetitionSet(
             label=f"zoom-{int(size_bytes) // MiB}MB", runs=list(repetitions.runs)
         )

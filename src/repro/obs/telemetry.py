@@ -182,8 +182,8 @@ def timed_execute(unit: Any) -> Tuple[Any, UnitTiming]:
     """Run one work unit under a fresh phase profiler; return (run, timing).
 
     Pure and picklable, like :func:`repro.core.parallel.execute_unit` which
-    it wraps: this is the function the executor ships to pool workers when a
-    telemetry sink is attached.  The profiler is installed for exactly the
+    it wraps: this is how the executor runs every fresh unit, in-process or
+    in a pool worker.  The profiler is installed for exactly the
     duration of the unit (and the previous profiler, if any, restored), so
     profiling composes with callers that keep their own.
     """

@@ -29,64 +29,61 @@ class TestTable1Command:
 
 
 class TestFigureCommands:
-    """Figure commands are dispatched with stubbed harnesses (the real ones are
-    exercised by tests/test_experiments.py and by the benchmarks)."""
+    """Figure commands are dispatched with a stubbed engine (the real figures
+    are exercised by tests/test_experiments.py and by the benchmarks)."""
 
     class _StubResult:
         def render(self):
             return "stub-render"
 
-    def test_figure1_dispatch(self, monkeypatch, capsys):
-        captured = {}
+    @pytest.fixture
+    def figure_calls(self, monkeypatch):
+        """Stub ``run_figure`` and every figure's render; record the calls."""
+        from dataclasses import replace
 
-        def fake_run_figure1(fs_type, scale):
-            captured["fs"] = fs_type
-            captured["scale"] = scale
-            return self._StubResult()
+        calls = []
 
-        monkeypatch.setattr(cli, "run_figure1", fake_run_figure1)
+        def fake_run_figure(name, scale, fs_types):
+            calls.append({"name": name, "scale": scale, "fs": fs_types})
+            return "stub-outcome"
+
+        def fake_render(outcome, scale):
+            assert outcome == "stub-outcome"
+            return "stub-render"
+
+        monkeypatch.setattr(cli, "run_figure", fake_run_figure)
+        for name, figure in list(cli.FIGURES.items()):
+            monkeypatch.setitem(cli.FIGURES, name, replace(figure, render=fake_render))
+        return calls
+
+    def test_figure1_dispatch(self, figure_calls, capsys):
         assert cli.main(["figure1", "--fs", "xfs"]) == 0
-        assert captured["fs"] == "xfs"
-        assert captured["scale"].name == "default"
+        assert figure_calls[0]["name"] == "figure1"
+        assert figure_calls[0]["fs"] == ("xfs",)
+        assert figure_calls[0]["scale"].name == "default"
         assert "stub-render" in capsys.readouterr().out
 
-    def test_paper_scale_flag(self, monkeypatch):
-        captured = {}
-        monkeypatch.setattr(
-            cli, "run_figure3", lambda fs_type, scale: captured.update(scale=scale) or self._StubResult()
-        )
+    def test_paper_scale_flag(self, figure_calls):
         cli.main(["--paper-scale", "figure3"])
-        assert captured["scale"].name == "paper"
+        assert figure_calls[0]["scale"].name == "paper"
 
-    def test_figure2_default_filesystems(self, monkeypatch):
-        captured = {}
-        monkeypatch.setattr(
-            cli,
-            "run_figure2",
-            lambda fs_types, scale: captured.update(fs=fs_types) or self._StubResult(),
-        )
+    def test_figure2_default_filesystems(self, figure_calls):
         cli.main(["figure2"])
-        assert captured["fs"] == ("ext2", "ext3", "xfs")
+        assert figure_calls[0]["fs"] == ("ext2", "ext3", "xfs")
 
-    def test_figure2_explicit_filesystems(self, monkeypatch):
-        captured = {}
+    def test_figure2_explicit_filesystems(self, figure_calls):
+        cli.main(["figure2", "--fs", "ext2", "--fs", "xfs"])
+        assert figure_calls[0]["fs"] == ("ext2", "xfs")
+
+    def test_figure4_and_zoom_dispatch(self, figure_calls, monkeypatch):
         monkeypatch.setattr(
             cli,
-            "run_figure2",
-            lambda fs_types, scale: captured.update(fs=fs_types) or self._StubResult(),
-        )
-        cli.main(["figure2", "--fs", "ext2", "--fs", "xfs"])
-        assert captured["fs"] == ("ext2", "xfs")
-
-    def test_figure4_and_zoom_dispatch(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(cli, "run_figure4", lambda fs_type, scale: calls.append("f4") or self._StubResult())
-        monkeypatch.setattr(
-            cli, "run_transition_zoom", lambda fs_type, scale: calls.append("zoom") or self._StubResult()
+            "run_transition_zoom",
+            lambda fs_type, scale: figure_calls.append({"name": "zoom"}) or self._StubResult(),
         )
         cli.main(["figure4"])
         cli.main(["zoom"])
-        assert calls == ["f4", "zoom"]
+        assert [call["name"] for call in figure_calls] == ["figure4", "zoom"]
 
     def test_suite_command(self, monkeypatch, capsys):
         class _FakeSuite:

@@ -8,7 +8,7 @@ The load-bearing guarantees of the redesign:
   **bit-identical** to it, serial and parallel, and shares its cache entries
   (cache keys unchanged);
 * ``ResultFrame`` round-trips through JSONL and CSV and pivots faithfully;
-* the legacy entry points are thin deprecation shims over the same engine.
+* the paper's figures and the legacy entry points run on the same engine.
 """
 
 from __future__ import annotations
@@ -451,11 +451,12 @@ class TestResultFrame:
 
 
 class TestDeprecationShims:
-    """The legacy entry points still work -- as declared shims."""
+    """The figures and the legacy entry points run through Experiment."""
 
-    def test_run_figure1_warns_and_delegates(self, testbed):
-        from repro.experiments import run_figure1
+    def test_run_figure1_delegates_to_experiment(self, testbed):
+        from repro.experiments import FIGURES, run_figure
         from repro.experiments.config import ExperimentScale
+        from repro.experiments.figures import figure1_rows, figure1_sweep
 
         scale = ExperimentScale(
             name="unit",
@@ -471,20 +472,19 @@ class TestDeprecationShims:
             figure4_file_mb=20,
             interval_s=5.0,
         )
-        with pytest.warns(DeprecationWarning, match="Experiment"):
-            result = run_figure1(fs_type="ext2", testbed=testbed, scale=scale, seed=3)
-        assert len(result.rows()) == 2
-        frame = result.to_frame()
+        outcome = run_figure("figure1", fs_types=("ext2",), testbed=testbed, scale=scale, seed=3)
+        assert outcome.name == "figure1"
+        assert len(figure1_rows(figure1_sweep(outcome))) == 2
+        frame = FIGURES["figure1"].frame(outcome)
         assert frame.filter(metric="throughput_ops_s", file_size_mb=2).summary().n == 2
 
     def test_run_aged_vs_fresh_shim_uses_snapshot_axis(self):
         # Covered end-to-end by tests/test_aging.py; here we only assert the
-        # shim is declared deprecated without paying for an aging run.
+        # comparison is declared as a grid without paying for an aging run.
         import inspect
 
         from repro.aging.experiment import run_aged_vs_fresh
 
-        assert "deprecation shim" in inspect.getsource(run_aged_vs_fresh)
         assert "ParameterGrid.of" in inspect.getsource(run_aged_vs_fresh)
 
     def test_suite_as_experiment_roundtrip(self, testbed, benchmarks):

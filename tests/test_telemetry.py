@@ -553,18 +553,17 @@ class TestCli:
         assert "error" in capsys.readouterr().err
 
     def test_bench_diff_on_committed_baselines(self, capsys):
-        # PR7 and PR9 measure disjoint benchmarks: reported, never gated.
-        status = main(
-            [
-                "bench-diff",
-                os.path.join(REPO_ROOT, "BENCH_PR7.json"),
-                os.path.join(REPO_ROOT, "BENCH_PR9.json"),
-            ]
-        )
-        out = capsys.readouterr().out
-        assert status == 0
-        assert "no benchmarks in common" in out
-        assert "no regressions beyond threshold" in out
+        # PR7 and PR9 measure disjoint benchmarks: a comparison of nothing
+        # is a usage error, even under --warn-only, never a silent pass.
+        baselines = [
+            os.path.join(REPO_ROOT, "BENCH_PR7.json"),
+            os.path.join(REPO_ROOT, "BENCH_PR9.json"),
+        ]
+        for extra in ([], ["--warn-only"]):
+            assert main(["bench-diff", *baselines, *extra]) == 2
+            captured = capsys.readouterr()
+            assert "no benchmarks in common" in captured.out
+            assert "share no benchmark" in captured.err
 
     def test_bench_diff_detects_regressions(self, tmp_path, capsys):
         old = str(tmp_path / "old.json")
