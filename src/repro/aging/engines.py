@@ -152,15 +152,10 @@ class ChurnAger:
             try:
                 vfs.fallocate(fd, size, charge_time=False)
             except NoSpaceError:
-                self._delete_file(stack, path)
+                vfs.unlink_uncharged(path)
                 raise
             finally:
                 vfs.close_uncharged(fd)
-
-    def _delete_file(self, stack: StorageStack, path: str) -> None:
-        inode = stack.vfs.fs.resolve(path)
-        stack.cache.invalidate_inode(inode.number)
-        stack.vfs.fs.unlink(path, stack.clock.now_ns)
 
     def _free_bytes(self, stack: StorageStack) -> int:
         return stack.fs.free_blocks() * stack.fs.block_size
@@ -218,7 +213,7 @@ class ChurnAger:
         survivors: List[str] = []
         for index, path in enumerate(churn_paths):
             if index % 2 == 0:
-                self._delete_file(stack, path)
+                stack.vfs.unlink_uncharged(path)
                 result.files_deleted += 1
             else:
                 survivors.append(path)
@@ -228,7 +223,7 @@ class ChurnAger:
             roll = rng.random()
             if roll < 0.4 and survivors:
                 victim = rng.randrange(len(survivors))
-                self._delete_file(stack, survivors[victim])
+                stack.vfs.unlink_uncharged(survivors[victim])
                 survivors[victim] = survivors[-1]
                 survivors.pop()
                 result.files_deleted += 1

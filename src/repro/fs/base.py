@@ -144,7 +144,12 @@ class Inode:
 
     # -------------------------------------------------------------- mapping
     def add_extent(self, extent: Extent) -> None:
-        """Insert an extent, merging with a physically adjacent predecessor."""
+        """Insert an extent, merging with a physically adjacent predecessor.
+
+        An extent that starts before the last mapping fills a hole of a
+        sparse file: it is inserted in file order, unmerged, and must lie
+        inside the hole.
+        """
         if self.extents:
             last = self.extents[-1]
             if (
@@ -158,10 +163,14 @@ class Inode:
                 )
                 return
             if extent.file_block < last.file_end:
-                raise ValueError(
-                    f"extent {extent} overlaps or precedes existing mapping ending at "
-                    f"{last.file_end}"
-                )
+                starts = [mapped.file_block for mapped in self.extents]
+                idx = bisect.bisect_left(starts, extent.file_block)
+                prev_end = self.extents[idx - 1].file_end if idx else 0
+                # idx < len(self.extents) whenever prev_end <= extent.file_block.
+                if prev_end > extent.file_block or extent.file_end > self.extents[idx].file_block:
+                    raise ValueError(f"extent {extent} overlaps an existing mapping")
+                self.extents.insert(idx, extent)
+                return
         self.extents.append(extent)
 
     def lookup_extent(self, file_block: int) -> Optional[Extent]:

@@ -297,7 +297,7 @@ class VFS:
         if missing:
             latency += self._fault_in(inode, missing)
 
-        file_pages = self._file_pages(inode)
+        file_pages = self.file_pages(inode)
         ra_start, ra_count = handle.readahead.advise(first_page, page_count, file_pages)
         if ra_count:
             self._prefetch(inode, ra_start, ra_count)
@@ -308,12 +308,13 @@ class VFS:
         self.clock.advance(latency)
         return latency
 
-    def _file_pages(self, inode: Inode) -> int:
+    def file_pages(self, inode: Inode) -> int:
+        """Page count of a file (at least 1): no cached page of it lies at or past this."""
         return max(1, -(-inode.size_bytes // self.page_size))
 
     def _fault_in(self, inode: Inode, missing_pages: List[int]) -> float:
         """Bring missing pages in via cluster reads; returns device latency."""
-        file_pages = self._file_pages(inode)
+        file_pages = self.file_pages(inode)
         cluster = self.fs.cluster_pages
         ranges: List[Tuple[int, int]] = []
         for page in missing_pages:
@@ -537,13 +538,24 @@ class VFS:
         """Remove a file; returns the latency charged."""
         latency = self._cpu_ns(self.cpu.syscall_overhead_ns)
         latency += self._apply_cost(self.fs.lookup_cost(path))
-        inode = self.fs.resolve(path)
-        self.cache.invalidate_inode(inode.number)
-        cost = self.fs.unlink(path, self.clock.now_ns)
-        latency += self._apply_cost(cost)
+        latency += self._apply_cost(self._unlink(path))
         self.stats.unlinks += 1
         self.clock.advance(latency)
         return latency
+
+    def unlink_uncharged(self, path: str) -> None:
+        """Remove a file without charging any time (aging helper)."""
+        self._unlink(path)
+
+    def _unlink(self, path: str) -> OperationCost:
+        """Unlink in the file system, then drop the file's cached pages."""
+        inode = self.fs.resolve(path)
+        page_count = self.file_pages(inode)
+        cost = self.fs.unlink(path, self.clock.now_ns)
+        # After the file system accepts the unlink, so a refused one (a
+        # directory) leaves the cache untouched.
+        self.cache.invalidate_inode(inode.number, page_count)
+        return cost
 
     def truncate(self, path: str, size_bytes: int) -> float:
         """Truncate a file to ``size_bytes``; returns the latency charged.
@@ -555,7 +567,7 @@ class VFS:
         latency = self._cpu_ns(self.cpu.syscall_overhead_ns)
         latency += self._apply_cost(self.fs.lookup_cost(path))
         inode = self.fs.resolve(path)
-        old_pages = self._file_pages(inode)
+        old_pages = self.file_pages(inode)
         cost = self.fs.truncate(path, size_bytes, self.clock.now_ns)
         keep_pages = -(-size_bytes // self.page_size)
         for page in range(keep_pages, old_pages):
@@ -598,7 +610,7 @@ class VFS:
         handle = self._open_files[fd]
         inode = handle.inode
         ino = inode.number
-        dirty = [key for key in self.cache.dirty_keys() if key[0] == ino]
+        dirty = self.cache.dirty_keys_of(ino, self.file_pages(inode))
         latency = self._cpu_ns(self.cpu.syscall_overhead_ns)
         latency += self._writeback_keys(dirty, synchronous=True)
         cost = self.fs.fsync_cost(inode, len(dirty), self.clock.now_ns)

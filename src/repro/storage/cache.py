@@ -357,6 +357,19 @@ def _make_policy(policy: CachePolicy, capacity_pages: int) -> EvictionPolicy:
     raise ValueError(f"unknown cache policy: {policy!r}")
 
 
+def _keys_below(keys: Set[PageKey], inode_number: int, page_count: int) -> List[PageKey]:
+    """The keys ``(inode_number, p)`` in ``keys`` with ``p < page_count``, ascending.
+
+    Costs O(min(page_count, len(keys))): probes the file's pages when it has
+    fewer pages than ``keys`` has members, scans ``keys`` otherwise (a large
+    file with a small dirty set, as an fsync after each append has).
+    """
+    if page_count <= len(keys):
+        probes = ((inode_number, page) for page in range(page_count))
+        return [key for key in probes if key in keys]
+    return sorted(key for key in keys if key[0] == inode_number and key[1] < page_count)
+
+
 class PageCache:
     """A page-granular cache of file data with dirty-page tracking.
 
@@ -411,6 +424,15 @@ class PageCache:
     def resident_pages_of(self, inode_number: int) -> int:
         """Count resident pages belonging to ``inode_number`` (O(n); diagnostic use)."""
         return sum(1 for ino, _ in self._resident if ino == inode_number)
+
+    def dirty_keys_of(self, inode_number: int, page_count: int) -> List[PageKey]:
+        """Dirty keys among one file's pages ``0..page_count-1``, in page order.
+
+        The callers pass the file's page count, and no page at or past it is
+        ever cached (see :meth:`invalidate_inode`), so this is every dirty
+        page of the file.
+        """
+        return _keys_below(self._dirty, inode_number, page_count)
 
     # --------------------------------------------------------------- actions
     def lookup(self, key: PageKey) -> bool:
@@ -488,9 +510,16 @@ class PageCache:
         self.stats.invalidations += 1
         return True
 
-    def invalidate_inode(self, inode_number: int) -> int:
-        """Drop every page of one file; returns the number of pages dropped."""
-        victims = sorted(key for key in self._resident if key[0] == inode_number)
+    def invalidate_inode(self, inode_number: int, page_count: int) -> int:
+        """Drop pages ``0..page_count-1`` of one file, in page order.
+
+        Returns the number of pages dropped.  Callers pass the file's page
+        count, which makes this every cached page of the file: the VFS never
+        caches a page at or past it (reads clamp to EOF, faults and readahead
+        clamp to the file's pages, writes grow the size before inserting,
+        and truncate drops the pages it cuts off).
+        """
+        victims = _keys_below(self._resident, inode_number, page_count)
         for key in victims:
             self._resident.remove(key)
             self._dirty.discard(key)

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.fs.allocation import BlockGroupAllocator, ExtentAllocator, FreeExtentMap
+from repro.fs.allocation import (
+    BlockGroupAllocator,
+    ExtentAllocator,
+    FreeExtentMap,
+    MultiBlockAllocator,
+)
 from repro.fs.base import NoSpaceError
 
 
@@ -116,6 +121,15 @@ class TestBlockGroupAllocator:
         with pytest.raises(ValueError):
             allocator.free(0, 0)
 
+    def test_goal_in_a_trailing_stub_group_allocates(self):
+        # 5 trailing blocks cannot hold a group's 8 metadata blocks, so there
+        # are three groups; a goal in the stub starts from the last of them.
+        allocator = BlockGroupAllocator(
+            total_blocks=256 + 3 * 64 + 5, blocks_per_group=64, group_metadata_blocks=8
+        )
+        assert allocator.group_count == 3
+        assert allocator.allocate(4, goal_block=256 + 3 * 64 + 2) == [(256 + 2 * 64 + 8, 4)]
+
 
 class TestExtentAllocator:
     def test_large_allocation_stays_contiguous(self):
@@ -164,3 +178,56 @@ class TestExtentAllocator:
             ExtentAllocator(total_blocks=100, allocation_groups=0)
         with pytest.raises(ValueError):
             ExtentAllocator(total_blocks=100, reserved_blocks=200)
+
+
+class TestAllocateCostIsIndependentOfGroupCount:
+    """A request the goal group can hold touches only the goal group.
+
+    Every attribute read on a :class:`FreeExtentMap` (method lookups and the
+    ``free_blocks`` field alike) is counted while the allocator serves the
+    same requests on a 16-group and a 4096-group device of identical group
+    geometry.  Equal counts are a machine-independent guard that no
+    O(groups) scan of the free maps (such as re-summing every group's free
+    blocks) sits on the allocation path.
+    """
+
+    GOAL_GROUP = 5
+    SIZES = (1, 3, 8, 2, 5)
+
+    @staticmethod
+    def _block_group(kind, groups):
+        return kind(total_blocks=256 + groups * 64, blocks_per_group=64, group_metadata_blocks=8)
+
+    @staticmethod
+    def _extent(groups):
+        return ExtentAllocator(total_blocks=256 + groups * 64, allocation_groups=groups)
+
+    def _free_map_reads(self, monkeypatch, allocator, goal_block):
+        reads = 0
+        original = FreeExtentMap.__getattribute__
+
+        def counting(free_map, name):
+            nonlocal reads
+            reads += 1
+            return original(free_map, name)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(FreeExtentMap, "__getattribute__", counting)
+            runs = [allocator.allocate(size, goal_block=goal_block) for size in self.SIZES]
+        assert all(len(run) == 1 for run in runs)
+        return reads
+
+    @pytest.mark.parametrize("kind", [BlockGroupAllocator, MultiBlockAllocator])
+    def test_block_group_allocators(self, monkeypatch, kind):
+        goal = 256 + self.GOAL_GROUP * 64 + 8
+        small = self._free_map_reads(monkeypatch, self._block_group(kind, 16), goal)
+        large = self._free_map_reads(monkeypatch, self._block_group(kind, 4096), goal)
+        assert small > 0
+        assert small == large
+
+    def test_extent_allocator(self, monkeypatch):
+        goal = 256 + self.GOAL_GROUP * 64
+        small = self._free_map_reads(monkeypatch, self._extent(16), goal)
+        large = self._free_map_reads(monkeypatch, self._extent(4096), goal)
+        assert small > 0
+        assert small == large

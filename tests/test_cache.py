@@ -122,10 +122,52 @@ class TestInvalidation:
         cache = PageCache(capacity_pages=10)
         fill(cache, 3, inode=1)
         fill(cache, 3, inode=2)
-        dropped = cache.invalidate_inode(1)
+        dropped = cache.invalidate_inode(1, 3)
         assert dropped == 3
         assert cache.resident_pages_of(1) == 0
         assert cache.resident_pages_of(2) == 3
+
+    def test_invalidate_inode_probes_only_the_given_page_count(self):
+        cache = PageCache(capacity_pages=10)
+        fill(cache, 5, inode=1)
+        cache.insert((1, 1), dirty=True)
+        dropped = cache.invalidate_inode(1, 2)
+        assert dropped == 2
+        assert cache.stats.invalidations == 2
+        assert cache.dirty_pages == 0
+        assert [page for page in range(5) if cache.peek((1, page))] == [2, 3, 4]
+
+    def test_dirty_keys_of_matches_filtered_dirty_keys(self):
+        cache = PageCache(capacity_pages=10)
+        for page in (3, 0, 2):
+            cache.insert((1, page), dirty=True)
+        cache.insert((1, 1))
+        cache.insert((2, 0), dirty=True)
+        assert cache.dirty_keys_of(1, 4) == [key for key in cache.dirty_keys() if key[0] == 1]
+        assert cache.dirty_keys_of(1, 4) == [(1, 0), (1, 2), (1, 3)]
+        assert cache.dirty_keys_of(1, 1) == [(1, 0)]
+
+    def test_a_file_larger_than_the_set_is_scanned_not_probed(self):
+        # A page count far past what a probe loop could finish makes the
+        # scan of the (smaller) resident and dirty sets the only way through.
+        cache = PageCache(capacity_pages=10)
+        for page in (2, 0, 1):
+            cache.insert((1, page), dirty=page != 1)
+        cache.insert((2, 0), dirty=True)
+        assert cache.dirty_keys_of(1, 10**12) == [(1, 0), (1, 2)]
+        assert cache.invalidate_inode(1, 10**12) == 3
+        assert cache.resident_pages_of(1) == 0
+        assert cache.dirty_keys() == [(2, 0)]
+
+    def test_scan_and_probe_keep_only_pages_below_the_count(self):
+        cache = PageCache(capacity_pages=10)
+        for page in (0, 1, 7):
+            cache.insert((1, page), dirty=True)
+        # 5 pages > 3 members: scanned; 2 pages <= 3 members: probed.
+        assert cache.dirty_keys_of(1, 5) == [(1, 0), (1, 1)]
+        assert cache.dirty_keys_of(1, 2) == [(1, 0), (1, 1)]
+        assert cache.invalidate_inode(1, 5) == 2
+        assert cache.dirty_keys() == [(1, 7)]
 
     def test_drop_caches_empties_everything(self):
         cache = PageCache(capacity_pages=10)

@@ -62,6 +62,17 @@ class TestInodeMapping:
         with pytest.raises(ValueError):
             inode.add_extent(Extent(5, 5000, 10))
 
+    def test_extent_filling_a_hole_is_inserted_in_file_order(self):
+        inode = Inode(number=5, inode_type=InodeType.REGULAR)
+        inode.add_extent(Extent(10, 1000, 5))
+        inode.add_extent(Extent(0, 2000, 4))
+        inode.add_extent(Extent(4, 3000, 6))
+        assert [extent.file_block for extent in inode.extents] == [0, 4, 10]
+        assert inode.lookup_extent(7).device_block_for(7) == 3003
+        for overlapping in (Extent(3, 5000, 2), Extent(12, 5000, 1), Extent(14, 5000, 3)):
+            with pytest.raises(ValueError):
+                inode.add_extent(overlapping)
+
     def test_iter_device_runs_spans_extents(self):
         inode = Inode(number=5, inode_type=InodeType.REGULAR)
         inode.add_extent(Extent(0, 1000, 4))

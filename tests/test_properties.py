@@ -2,6 +2,7 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,9 +10,11 @@ from repro.core.histogram import from_latencies
 from repro.core.stats import confidence_interval, fragility_index, summarize
 from repro.core.steady_state import detect_steady_state
 from repro.core.timeline import IntervalSeries
-from repro.fs.allocation import BlockGroupAllocator, ExtentAllocator
-from repro.fs.base import Extent, Inode, InodeType
+from repro.fs.allocation import BlockGroupAllocator, ExtentAllocator, MultiBlockAllocator
+from repro.fs.base import Extent, Inode, InodeType, NoSpaceError
+from repro.fs.stack import build_stack
 from repro.storage.cache import CachePolicy, PageCache
+from repro.storage.config import scaled_testbed
 from repro.storage.readahead import DEFAULT_READAHEAD, ReadaheadState
 
 # ---------------------------------------------------------------------------
@@ -121,6 +124,143 @@ def test_extent_allocator_conserves_blocks(sizes):
     for start, count in allocated:
         allocator.free(start, count)
     assert allocator.free_blocks == initial_free
+
+
+allocator_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["allocate", "allocate", "free", "oversize", "snapshot", "restore"]),
+        st.integers(min_value=1, max_value=400),          # request size
+        st.one_of(st.none(), st.integers(min_value=0)),   # goal block (reduced mod device)
+        st.integers(min_value=0, max_value=10**6),        # which run / how much to free
+    ),
+    max_size=60,
+)
+
+
+def _make_allocator(kind, groups, group_blocks, tail, max_extent):
+    total = 256 + groups * group_blocks + tail
+    if kind is ExtentAllocator:
+        return ExtentAllocator(
+            total_blocks=total, allocation_groups=groups, max_extent_blocks=max_extent
+        )
+    return kind(total_blocks=total, blocks_per_group=group_blocks, group_metadata_blocks=8)
+
+
+def _assert_free_total_matches_maps(allocator):
+    by_groups = sum(group.free_blocks for group in allocator._groups)
+    by_runs = sum(count for _, count in allocator.free_runs())
+    assert allocator.free_blocks == by_groups == by_runs
+
+
+@given(
+    kind=st.sampled_from([BlockGroupAllocator, MultiBlockAllocator, ExtentAllocator]),
+    groups=st.integers(min_value=1, max_value=6),
+    group_blocks=st.integers(min_value=16, max_value=256),
+    tail=st.integers(min_value=0, max_value=24),
+    max_extent=st.integers(min_value=8, max_value=512),
+    ops=allocator_ops,
+)
+@settings(max_examples=80, deadline=None)
+def test_allocator_free_total_tracks_the_free_maps(
+    kind, groups, group_blocks, tail, max_extent, ops
+):
+    """The running free-block total equals both recounts after every step."""
+    allocator = _make_allocator(kind, groups, group_blocks, tail, max_extent)
+    initial = allocator.free_blocks
+    owned = []
+    saved = None
+    _assert_free_total_matches_maps(allocator)
+    for op, size, goal, pick in ops:
+        goal_block = None if goal is None else goal % allocator.total_blocks
+        if op == "allocate" and size <= allocator.free_blocks:
+            runs = allocator.allocate(size, goal_block=goal_block)
+            assert sum(count for _, count in runs) == size
+            owned.extend(runs)
+        elif op in ("allocate", "oversize"):
+            request = size if op == "allocate" else allocator.free_blocks + size
+            before = allocator.export_free_state()
+            with pytest.raises(NoSpaceError):
+                allocator.allocate(request, goal_block=goal_block)
+            assert allocator.export_free_state() == before
+        elif op == "free" and owned:
+            start, count = owned.pop(pick % len(owned))
+            piece = 1 + pick % count
+            allocator.free(start, piece)
+            if piece < count:
+                owned.append((start + piece, count - piece))
+        elif op == "snapshot":
+            state = allocator.export_free_state()
+            allocator.restore_free_state(state)
+            assert allocator.export_free_state() == state
+            saved = (state, list(owned))
+        elif op == "restore" and saved is not None:
+            allocator.restore_free_state(saved[0])
+            owned = list(saved[1])
+        _assert_free_total_matches_maps(allocator)
+        assert allocator.free_blocks + sum(count for _, count in owned) == initial
+
+
+# ---------------------------------------------------------------------------
+# Page-cache / VFS page-range invariants
+# ---------------------------------------------------------------------------
+
+PAGE = 4096
+
+stack_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["write", "write", "read", "seqread", "truncate", "unlink", "fsync"]),
+        st.integers(min_value=0, max_value=1),           # which file
+        st.integers(min_value=0, max_value=64 * PAGE),   # offset, or size for truncate
+        st.integers(min_value=1, max_value=16 * PAGE),   # byte count
+    ),
+    max_size=40,
+)
+
+
+@given(fs_type=st.sampled_from(["ext2", "ext4", "xfs"]), ops=stack_ops)
+@settings(max_examples=60, deadline=None)
+def test_no_cached_page_at_or_past_a_files_page_count(fs_type, ops):
+    """Unlink and fsync probe only a file's pages; nothing is cached beyond them.
+
+    A ~200-page cache under files of up to ~80 pages makes eviction,
+    readahead (``seqread``), read-modify-write and truncation all interleave.
+    An op on a file that does not exist creates it first.
+    """
+    stack = build_stack(fs_type, testbed=scaled_testbed(1 / 512), seed=7)
+    vfs, cache = stack.vfs, stack.cache
+    live = {}  # path -> inode of every existing regular file
+    for op, index, offset, nbytes in ops:
+        path = f"/f{index}"
+        if path not in live:
+            vfs.create(path)
+            live[path] = stack.fs.resolve(path)
+        inode = live[path]
+        if op == "unlink":
+            vfs.unlink(path)
+            del live[path]
+            assert cache.resident_pages_of(inode.number) == 0
+        elif op == "truncate":
+            vfs.truncate(path, offset)
+        else:
+            fd = vfs.open(path)
+            if op == "write":
+                vfs.write(fd, nbytes, offset)
+            elif op == "read":
+                vfs.read(fd, nbytes, offset)
+            elif op == "seqread":
+                for _ in range(8):
+                    vfs.read(fd, 4 * PAGE)
+            else:
+                dirty = [key for key in cache.dirty_keys() if key[0] == inode.number]
+                assert cache.dirty_keys_of(inode.number, vfs.file_pages(inode)) == dirty
+                vfs.fsync(fd)
+                assert not any(key[0] == inode.number for key in cache.dirty_keys())
+            vfs.close(fd)
+        page_limit = {inode.number: vfs.file_pages(inode) for inode in live.values()}
+        resident, _ = cache.export_state()
+        for ino, page in resident:
+            if ino in page_limit:
+                assert page < page_limit[ino]
 
 
 # ---------------------------------------------------------------------------

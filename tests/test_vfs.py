@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.fs.base import IsADirectoryError_
 from repro.fs.stack import build_stack
 from repro.storage.config import scaled_testbed
 from repro.storage.readahead import NO_READAHEAD
@@ -204,6 +205,31 @@ class TestMetadataOps:
         vfs.close(fd)
         vfs.unlink("/gone")
         assert stack.cache.resident_pages_of(ino) == 0
+
+    def test_refused_unlink_of_a_directory_leaves_the_cache_alone(self, stack):
+        vfs = stack.vfs
+        vfs.mkdir("/d")
+        for index in range(40):
+            vfs.create(f"/d/f{index}")
+        directory = vfs.fs.resolve("/d")
+        resident = stack.cache.resident_pages_of(directory.number)
+        assert resident > 0
+        with pytest.raises(IsADirectoryError_):
+            vfs.unlink("/d")
+        assert stack.cache.resident_pages_of(directory.number) == resident
+
+    def test_unlink_uncharged_drops_pages_without_charging(self, stack):
+        vfs = stack.vfs
+        fd = make_file(vfs, "/gone", size=64 * KiB)
+        vfs.read(fd, 64 * KiB, offset=0)
+        vfs.close(fd)
+        ino = vfs.fs.resolve("/gone").number
+        assert stack.cache.resident_pages_of(ino) > 0
+        now, unlinks = stack.clock.now_ns, vfs.stats.unlinks
+        vfs.unlink_uncharged("/gone")
+        assert not vfs.fs.exists("/gone")
+        assert stack.cache.resident_pages_of(ino) == 0
+        assert (stack.clock.now_ns, vfs.stats.unlinks) == (now, unlinks)
 
     def test_rename(self, vfs):
         vfs.create("/a")
