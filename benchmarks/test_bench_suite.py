@@ -14,18 +14,19 @@ from repro.storage.config import scaled_testbed
 
 def run_suite():
     suite = NanoBenchmarkSuite(testbed=scaled_testbed(0.25), quick=True)
-    return suite.run(fs_types=("ext2", "ext3", "xfs"))
+    return suite.as_experiment(fs_types=("ext2", "ext3", "xfs")).run()
 
 
 def test_bench_nano_suite(benchmark):
-    result = run_once(benchmark, run_suite)
+    outcome = run_once(benchmark, run_suite)
+    names = outcome.axis_values("workload")
     verdicts = {}
-    for name in result.benchmark_names():
-        ext2 = result.result_for(name, "ext2")
-        xfs = result.result_for(name, "xfs")
+    for name in names:
+        ext2 = outcome.result_for(workload=name, fs="ext2")
+        xfs = outcome.result_for(workload=name, fs="xfs")
         verdict = compare_repetition_sets("ext2", ext2, "xfs", xfs)
         verdicts[name] = verdict.winner if verdict.significant else "no difference"
     benchmark.extra_info["ext2_vs_xfs_winners"] = str(verdicts)
-    benchmark.extra_info["benchmarks"] = len(result.benchmark_names())
-    assert len(result.benchmark_names()) >= 6
-    assert set(result.filesystems()) == {"ext2", "ext3", "xfs"}
+    benchmark.extra_info["benchmarks"] = len(names)
+    assert len(names) >= 6
+    assert set(outcome.axis_values("fs")) == {"ext2", "ext3", "xfs"}

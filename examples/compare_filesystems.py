@@ -40,20 +40,20 @@ def main(argv=None) -> int:
     fs_types = tuple(args.fs) if args.fs else DEFAULT_FS_TYPES
 
     suite = NanoBenchmarkSuite(testbed=testbed, quick=args.quick)
-    result = suite.run(fs_types=fs_types)
-    print(suite_report(result, title=f"Nano-benchmark suite on {testbed.name}"))
+    outcome = suite.as_experiment(fs_types=fs_types).run()
+    print(suite_report(suite.benchmarks, outcome, title=f"Nano-benchmark suite on {testbed.name}"))
 
     if len(fs_types) >= 2:
         print("Per-dimension verdicts (first vs last file system):")
         first, last = fs_types[0], fs_types[-1]
-        for benchmark_name in result.benchmark_names():
+        for benchmark in suite.benchmarks:
             verdict = compare_repetition_sets(
                 first,
-                result.result_for(benchmark_name, first),
+                outcome.result_for(workload=benchmark.name, fs=first),
                 last,
-                result.result_for(benchmark_name, last),
+                outcome.result_for(workload=benchmark.name, fs=last),
             )
-            print(f"  {benchmark_name}: {verdict.format()}")
+            print(f"  {benchmark.name}: {verdict.format()}")
         print(
             "\nIf the winner changes from row to row, no single number can rank "
             f"{first} against {last}; that is the paper's point."

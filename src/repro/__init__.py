@@ -8,7 +8,7 @@ Python library:
   dimension taxonomy, nano-benchmark suite, statistically honest runners,
   latency histograms, timelines, steady-state detection, self-scaling sweeps,
   range-based reporting, the Table-1 survey database and its measured
-  counterpart, the parallel executor + persistent result cache that fan
+  counterpart (:func:`~repro.core.survey.survey_report`), the parallel executor + persistent result cache that fan
   surveys out over processes with bit-identical results, and the declarative
   :class:`~repro.core.experiment.Experiment` API (parameter grids over named
   axes, tidy :class:`~repro.core.frame.ResultFrame` results) that every
@@ -56,7 +56,6 @@ from repro.core import (
     Experiment,
     ExperimentResult,
     LatencyHistogram,
-    MeasuredSurvey,
     NanoBenchmark,
     NanoBenchmarkSuite,
     ParallelExecutor,
@@ -74,7 +73,9 @@ from repro.core import (
     default_suite,
     load_paper_survey,
     run_single_repetition,
+    suite_report,
     summarize,
+    survey_report,
 )
 from repro.aging import (
     AgingConfig,
@@ -142,7 +143,8 @@ __all__ = [
     "default_suite",
     "load_paper_survey",
     "summarize",
-    "MeasuredSurvey",
+    "suite_report",
+    "survey_report",
     "ParallelExecutor",
     "ResultCache",
     "run_single_repetition",

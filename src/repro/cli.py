@@ -61,7 +61,7 @@ The paper's figures are registered experiment definitions
 (:data:`repro.experiments.FIGURES`), one verb each, and the tables and the
 comparison studies have their own verbs over the same engine::
 
-    fsbench-rocket table1 [--measured --quick]
+    fsbench-rocket table1
     fsbench-rocket figure1 --fs ext2
     fsbench-rocket figure2 --fs ext2 --fs xfs
     fsbench-rocket suite --quick --fs ext4 --fs xfs --workers 4
@@ -89,7 +89,7 @@ from typing import List, Optional
 from repro.core.experiment import Experiment, ParameterGrid
 from repro.core.report import suite_report
 from repro.core.suite import NanoBenchmarkSuite
-from repro.core.survey import MeasuredSurvey
+from repro.core.survey import load_paper_survey, survey_report
 from repro.fs.stack import DEFAULT_FS_TYPES
 from repro.experiments import (
     FIGURES,
@@ -98,8 +98,8 @@ from repro.experiments import (
     run_figure,
     run_fresh_vs_steady,
     run_scalability,
-    run_table1,
     run_transition_zoom,
+    table1_report,
 )
 from repro.storage.config import DEFAULT_DEVICE_KINDS, paper_testbed, scaled_testbed
 from repro.storage.device import SCHEDULER_REGISTRY
@@ -502,43 +502,7 @@ def _build_parser() -> argparse.ArgumentParser:
             sub.add_argument("--fs", default=figure.default_fs[0], choices=DEFAULT_FS_TYPES)
     zoom = subparsers.add_parser("zoom", help="regenerate zoom")
     zoom.add_argument("--fs", default="ext2", choices=DEFAULT_FS_TYPES)
-    table1 = subparsers.add_parser("table1", help="regenerate table1")
-    table1.add_argument(
-        "--measured",
-        action="store_true",
-        help="also run the measured survey counterpart across the full file-system grid",
-    )
-    table1.add_argument(
-        "--fs",
-        action="append",
-        choices=DEFAULT_FS_TYPES,
-        help="file systems for --measured (repeatable; default all four)",
-    )
-    table1.add_argument(
-        "--quick",
-        action="store_true",
-        help="smaller filesets and fewer repetitions for --measured",
-    )
-    table1.add_argument(
-        "--scaled-testbed",
-        type=_testbed_fraction,
-        default=None,
-        metavar="FRACTION",
-        help="shrink the simulated machine by this factor for --measured",
-    )
-    table1.add_argument(
-        "--workers",
-        type=_nonnegative_int,
-        default=1,
-        metavar="N",
-        help="worker processes for --measured (0 = one per CPU; default 1, serial)",
-    )
-    table1.add_argument(
-        "--cache-dir",
-        default=None,
-        metavar="DIR",
-        help="persist --measured cells here and skip them on re-runs (default: no cache)",
-    )
+    subparsers.add_parser("table1", help="regenerate table1")
 
     suite = subparsers.add_parser("suite", help="run the multi-dimensional nano-benchmark suite")
     survey = subparsers.add_parser(
@@ -741,7 +705,7 @@ def _run_list(args) -> int:
         print(f"  {name}")
     print()
     print("Experiments (subcommands, all run through the Experiment API):")
-    for name, (_, description) in EXPERIMENT_REGISTRY.items():
+    for name, description in EXPERIMENT_REGISTRY.items():
         print(f"  {name:<15} {description}")
     print()
     print(
@@ -1112,38 +1076,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         return run_cache(args)
     if args.command == "table1":
-        measured_fs_types = None
-        if not args.measured and (
-            args.fs
-            or args.quick
-            or args.scaled_testbed is not None
-            or args.workers != 1
-            or args.cache_dir is not None
-        ):
-            # These flags only configure the measured counterpart; silently
-            # ignoring them would look like the measurement ran.
-            print(
-                "fsbench-rocket: error: --fs/--quick/--scaled-testbed/--workers/"
-                "--cache-dir require --measured",
-                file=sys.stderr,
-            )
-            return 2
-        if args.measured:
-            measured_fs_types = tuple(args.fs) if args.fs else DEFAULT_FS_TYPES
-        testbed = (
-            scaled_testbed(args.scaled_testbed)
-            if args.scaled_testbed is not None
-            else None
-        )
-        print(
-            run_table1(
-                measured_fs_types=measured_fs_types,
-                testbed=testbed,
-                quick=args.quick,
-                n_workers=args.workers,
-                cache_dir=args.cache_dir,
-            ).render()
-        )
+        print(table1_report(load_paper_survey()))
         return 0
     if args.command in FIGURES:
         figure = FIGURES[args.command]
@@ -1232,16 +1165,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                     file=sys.stderr,
                 )
                 return 2
-        if args.command == "survey":
-            survey = MeasuredSurvey(
-                testbed=testbed,
-                quick=args.quick,
-                n_workers=args.workers,
-                cache_dir=cache_dir,
-                snapshot_path=args.snapshot,
-            )
-            print(survey.run(fs_types).render())
-            return 0
         suite = NanoBenchmarkSuite(
             testbed=testbed,
             quick=args.quick,
@@ -1249,7 +1172,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             cache_dir=cache_dir,
             snapshot_path=args.snapshot,
         )
-        print(suite_report(suite.run(fs_types)))
+        outcome = suite.as_experiment(fs_types).run()
+        if args.command == "survey":
+            print(survey_report(load_paper_survey(), suite.benchmarks, outcome))
+        else:
+            print(suite_report(suite.benchmarks, outcome))
         return 0
     parser.error(f"unknown command {args.command!r}")
     return 2

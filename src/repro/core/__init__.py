@@ -26,11 +26,13 @@ subpackage is that methodology as a library:
   metric) with filter/group_by/pivot/summary and JSONL/CSV round-trips: the
   analysis layer's lingua franca.
 * :mod:`repro.core.benchmark`, :mod:`repro.core.suite` -- nano-benchmarks and
-  the multi-dimensional suite the paper calls for.
+  the multi-dimensional suite the paper calls for, declared as one
+  Experiment whose ExperimentResult the suite and survey reports render.
 * :mod:`repro.core.selfscaling` -- self-scaling parameter sweeps that locate
   the memory/disk transition automatically.
 * :mod:`repro.core.report` -- multi-dimensional, range-based reporting.
-* :mod:`repro.core.survey` -- the benchmark-usage survey behind Table 1.
+* :mod:`repro.core.survey` -- the benchmark-usage survey behind Table 1 and
+  the measured per-dimension survey report.
 """
 
 from repro.core.dimensions import Coverage, Dimension, DimensionVector
@@ -56,7 +58,6 @@ from repro.core.parallel import (
     ParallelExecutor,
     ResultCache,
     WorkUnit,
-    benchmark_units,
     cache_key,
     execute_unit,
 )
@@ -81,15 +82,14 @@ from repro.core.frame import PivotTable, ResultFrame, rows_for_run, run_metrics
 from repro.core.steady_state import SteadyStateDetector, detect_steady_state, trim_warmup
 from repro.core.timeline import HistogramTimeline, IntervalSeries
 from repro.core.benchmark import NanoBenchmark
-from repro.core.suite import NanoBenchmarkSuite, SuiteResult, default_suite
+from repro.core.suite import NanoBenchmarkSuite, default_suite
 from repro.core.selfscaling import SelfScalingBenchmark, SelfScalingResult
-from repro.core.report import ReportBuilder, ascii_plot, format_table
+from repro.core.report import ReportBuilder, ascii_plot, format_table, suite_report
 from repro.core.survey import (
     BenchmarkEntry,
-    MeasuredSurvey,
-    MeasuredSurveyResult,
     SurveyDatabase,
     load_paper_survey,
+    survey_report,
 )
 
 __all__ = [
@@ -133,18 +133,17 @@ __all__ = [
     "IntervalSeries",
     "NanoBenchmark",
     "NanoBenchmarkSuite",
-    "SuiteResult",
     "default_suite",
     "SelfScalingBenchmark",
     "SelfScalingResult",
     "ReportBuilder",
     "ascii_plot",
     "format_table",
+    "suite_report",
     "BenchmarkEntry",
-    "MeasuredSurvey",
-    "MeasuredSurveyResult",
     "SurveyDatabase",
     "load_paper_survey",
+    "survey_report",
     "load_run_result",
     "save_run_result",
     "merge_repetition_sets",
@@ -153,7 +152,6 @@ __all__ = [
     "ParallelExecutor",
     "ResultCache",
     "WorkUnit",
-    "benchmark_units",
     "cache_key",
     "execute_unit",
 ]

@@ -249,6 +249,10 @@ class ExperimentResult:
         """Cell labels in grid order."""
         return [cell.label for cell in self.cells]
 
+    def axis_values(self, name: str) -> List[Any]:
+        """Distinct values of one axis over the cells, in grid order."""
+        return list(dict.fromkeys(cell.axes.get(name) for cell in self.cells))
+
     def cell_for(self, **axes: Any) -> ExperimentCell:
         """The unique cell whose axis values match every ``name=value`` given."""
         matches = [

@@ -193,20 +193,26 @@ class ReportBuilder:
         return "\n".join(lines)
 
 
-def suite_report(suite_result, title: str = "Nano-benchmark suite") -> str:
+def suite_report(benchmarks, outcome, title: str = "Nano-benchmark suite") -> str:
     """Render a per-dimension, per-file-system comparison of a suite run.
 
-    Every cell shows mean throughput with its relative standard deviation; the
-    per-benchmark verdict lines apply the CI-overlap honesty rule pairwise
-    against the first file system.
+    ``benchmarks`` are the suite's :class:`~repro.core.benchmark.NanoBenchmark`
+    objects (name, description and dimension of each section); ``outcome``
+    is the :class:`~repro.core.experiment.ExperimentResult` of
+    ``suite.as_experiment(fs_types).run()``.  Every cell shows mean
+    throughput with its relative standard deviation; the per-benchmark
+    verdict lines apply the CI-overlap honesty rule pairwise against the
+    first file system.
     """
     builder = ReportBuilder(title=title)
-    fs_names = suite_result.filesystems()
-    for benchmark_name in suite_result.benchmark_names():
-        benchmark = suite_result.benchmarks[benchmark_name]
+    fs_names = outcome.axis_values("fs")
+    for benchmark in benchmarks:
+        results = {
+            fs_name: outcome.result_for(workload=benchmark.name, fs=fs_name)
+            for fs_name in fs_names
+        }
         rows = []
-        for fs_name in fs_names:
-            repetitions = suite_result.result_for(benchmark_name, fs_name)
+        for fs_name, repetitions in results.items():
             summary = repetitions.throughput_summary()
             rows.append(
                 [
@@ -217,19 +223,15 @@ def suite_report(suite_result, title: str = "Nano-benchmark suite") -> str:
                 ]
             )
         body = format_table(["file system", "mean ops/s", "rel stddev", "95% CI"], rows)
-        verdicts = []
         baseline_fs = fs_names[0]
-        baseline = suite_result.result_for(benchmark_name, baseline_fs)
-        for fs_name in fs_names[1:]:
-            verdicts.append(
-                comparison_verdict(
-                    baseline_fs, baseline, fs_name, suite_result.result_for(benchmark_name, fs_name)
-                )
-            )
+        verdicts = [
+            comparison_verdict(baseline_fs, results[baseline_fs], fs_name, results[fs_name])
+            for fs_name in fs_names[1:]
+        ]
         primary = benchmark.primary_dimension()
         dimension_note = f"dimension: {primary.title}" if primary is not None else "dimension: (none)"
         builder.add_section(
-            f"{benchmark_name} ({dimension_note})",
+            f"{benchmark.name} ({dimension_note})",
             benchmark.description + "\n\n" + body + ("\n" + "\n".join(verdicts) if verdicts else ""),
         )
     return builder.render()

@@ -215,6 +215,7 @@ class _Recorder:
     """Collects per-operation records during the measured window."""
 
     def __init__(self, config: BenchmarkConfig, origin_ns: float) -> None:
+        self.origin_ns = origin_ns
         self.histogram = LatencyHistogram()
         self.timeline = IntervalSeries(interval_s=config.interval_s, origin_ns=origin_ns)
         self.histogram_timeline = (
@@ -348,8 +349,7 @@ class BenchmarkRunner:
             self._warm_up(stack, engine, spec)
         warmup_duration_s = (stack.clock.now_ns - warmup_start_ns) / 1e9
 
-        origin_ns = stack.clock.now_ns
-        recorder = _Recorder(config, origin_ns)
+        recorder = _Recorder(config, stack.clock.now_ns)
         engine.on_op = recorder
         stack.reset_statistics()
         tracer = self._attach_tracer(stack)
@@ -358,49 +358,12 @@ class BenchmarkRunner:
         with profile_phase("measured-run"):
             engine.run(duration_s=duration, max_ops=config.max_ops)
         engine.on_op = None
-        if tracer is not None:
-            stack.attach_tracer(None)
-
-        measured_duration_s = (stack.clock.now_ns - origin_ns) / 1e9
-        throughput = recorder.operations / measured_duration_s if measured_duration_s > 0 else 0.0
-
-        # The last operation may spill past the nominal duration into a
-        # mostly-empty extra interval; keep only complete intervals.
-        complete_intervals = int(measured_duration_s / config.interval_s)
-        if complete_intervals >= 1:
-            recorder.timeline.truncate(complete_intervals)
-        if recorder.histogram_timeline is not None and config.histogram_interval_s:
-            complete_histograms = int(measured_duration_s / config.histogram_interval_s)
-            if complete_histograms >= 1:
-                recorder.histogram_timeline.truncate(complete_histograms)
-
         environment = {
             "page_cache_bytes": float(effective_cache),
             "cpu_speed_factor": cpu_factor,
         }
-        environment.update(_flash_environment(stack))
-
-        return RunResult(
-            workload_name=spec.name,
-            fs_name=stack.fs_name,
-            repetition=repetition,
-            seed=seed,
-            measured_duration_s=measured_duration_s,
-            warmup_duration_s=warmup_duration_s,
-            operations=recorder.operations,
-            throughput_ops_s=throughput,
-            histogram=recorder.histogram,
-            timeline=recorder.timeline,
-            histogram_timeline=recorder.histogram_timeline,
-            raw_latencies_ns=recorder.raw,
-            cache_hit_ratio=stack.cache.stats.hit_ratio,
-            device_reads=stack.device.stats.read_requests,
-            device_writes=stack.device.stats.write_requests,
-            bytes_read=stack.vfs.stats.bytes_read,
-            bytes_written=stack.vfs.stats.bytes_written,
-            environment=environment,
-            attribution=tracer.attribution.to_dict() if tracer is not None else None,
-            trace_events=tracer.events_list() if tracer is not None else None,
+        return self._measured_result(
+            spec, stack, repetition, seed, recorder, tracer, warmup_duration_s, environment
         )
 
     def _run_once_concurrent(self, spec: WorkloadSpec, repetition: int) -> RunResult:
@@ -412,7 +375,7 @@ class BenchmarkRunner:
         :func:`repro.core.concurrency.run_window` and additionally collects
         exact per-client latencies into ``RunResult.client_metrics``.
         """
-        from repro.core.concurrency import build_sessions, client_metrics, run_window
+        from repro.core.concurrency import build_sessions, run_window
 
         config = self.config
         seed = config.seed + repetition
@@ -434,8 +397,7 @@ class BenchmarkRunner:
             self._warm_up_concurrent(stack, sessions)
         warmup_duration_s = (stack.clock.now_ns - warmup_start_ns) / 1e9
 
-        origin_ns = stack.clock.now_ns
-        recorder = _Recorder(config, origin_ns)
+        recorder = _Recorder(config, stack.clock.now_ns)
         for session in sessions:
             session.engine.on_op = _session_recorder(session, recorder)
         stack.reset_statistics()
@@ -448,12 +410,52 @@ class BenchmarkRunner:
             )
         for session in sessions:
             session.engine.on_op = None
+        environment = {
+            "page_cache_bytes": float(effective_cache),
+            "cpu_speed_factor": cpu_factor,
+            "clients": float(config.clients),
+        }
+        return self._measured_result(
+            spec,
+            stack,
+            repetition,
+            seed,
+            recorder,
+            tracer,
+            warmup_duration_s,
+            environment,
+            client_latencies_ns=[session.latencies_ns for session in sessions],
+        )
+
+    def _measured_result(
+        self,
+        spec: WorkloadSpec,
+        stack: StorageStack,
+        repetition: int,
+        seed: int,
+        recorder: _Recorder,
+        tracer: Optional[Tracer],
+        warmup_duration_s: float,
+        environment: Dict[str, float],
+        client_latencies_ns: Optional[List[List[float]]] = None,
+    ) -> RunResult:
+        """The shared tail of both repetition drivers: package the window.
+
+        Detaches the tracer, derives the measured duration and throughput
+        from the recorder's origin, keeps only complete intervals, appends
+        the device's flash counters to ``environment`` and builds the
+        :class:`RunResult`.  ``client_latencies_ns`` (one list per session)
+        adds the per-client metrics of a ``clients > 1`` run.
+        """
+        config = self.config
         if tracer is not None:
             stack.attach_tracer(None)
 
-        measured_duration_s = (stack.clock.now_ns - origin_ns) / 1e9
+        measured_duration_s = (stack.clock.now_ns - recorder.origin_ns) / 1e9
         throughput = recorder.operations / measured_duration_s if measured_duration_s > 0 else 0.0
 
+        # The last operation may spill past the nominal duration into a
+        # mostly-empty extra interval; keep only complete intervals.
         complete_intervals = int(measured_duration_s / config.interval_s)
         if complete_intervals >= 1:
             recorder.timeline.truncate(complete_intervals)
@@ -462,12 +464,13 @@ class BenchmarkRunner:
             if complete_histograms >= 1:
                 recorder.histogram_timeline.truncate(complete_histograms)
 
-        environment = {
-            "page_cache_bytes": float(effective_cache),
-            "cpu_speed_factor": cpu_factor,
-            "clients": float(config.clients),
-        }
         environment.update(_flash_environment(stack))
+
+        client_summary = None
+        if client_latencies_ns is not None:
+            from repro.core.concurrency import client_metrics
+
+            client_summary = client_metrics(client_latencies_ns, measured_duration_s)
 
         return RunResult(
             workload_name=spec.name,
@@ -488,9 +491,7 @@ class BenchmarkRunner:
             bytes_read=stack.vfs.stats.bytes_read,
             bytes_written=stack.vfs.stats.bytes_written,
             environment=environment,
-            client_metrics=client_metrics(
-                [session.latencies_ns for session in sessions], measured_duration_s
-            ),
+            client_metrics=client_summary,
             attribution=tracer.attribution.to_dict() if tracer is not None else None,
             trace_events=tracer.events_list() if tracer is not None else None,
         )

@@ -4,24 +4,24 @@ Section 4 of the paper: "We propose that at a minimum, an encompassing
 benchmark should include in-memory, disk layout, cache warm-up/eviction, and
 meta-data operations performance evaluation components."  :func:`default_suite`
 is that minimum suite (plus an I/O-dimension device characterisation and a
-scaling component), and :class:`NanoBenchmarkSuite` runs it across file
-systems and reports per-dimension results -- as ranges and distributions, not
-single numbers.  The (benchmark x file system x repetition) grid dispatches
-through :mod:`repro.core.parallel`, so suites can fan out over worker
-processes and skip already-measured cells via the persistent result cache
-without changing any result bit.
+scaling component), and :class:`NanoBenchmarkSuite` declares it across file
+systems as one :class:`~repro.core.experiment.Experiment`.  Its
+:class:`~repro.core.experiment.ExperimentResult` is the only result type:
+:func:`~repro.core.report.suite_report` and
+:func:`~repro.core.survey.survey_report` render it per dimension -- as ranges
+and distributions, not single numbers.  The (benchmark x file system x
+repetition) grid dispatches through :mod:`repro.core.parallel`, so suites can
+fan out over worker processes and skip already-measured cells via the
+persistent result cache without changing any result bit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.core.benchmark import NanoBenchmark
 from repro.core.dimensions import Dimension, DimensionVector
 from repro.core.experiment import Experiment, ParameterGrid
-from repro.core.parallel import ParallelExecutor, ResultCache, group_label
-from repro.core.results import RepetitionSet
 from repro.core.runner import BenchmarkConfig, WarmupMode
 from repro.fs.stack import DEFAULT_FS_TYPES
 from repro.storage.config import TestbedConfig, paper_testbed
@@ -132,48 +132,11 @@ def default_suite(
     return benchmarks
 
 
-@dataclass
-class SuiteResult:
-    """Results of a suite run: benchmark x file system -> repetition set."""
-
-    testbed: TestbedConfig
-    results: Dict[str, Dict[str, RepetitionSet]] = field(default_factory=dict)
-    benchmarks: Dict[str, NanoBenchmark] = field(default_factory=dict)
-
-    def add(self, benchmark: NanoBenchmark, fs_type: str, repetitions: RepetitionSet) -> None:
-        """Record the result of one benchmark on one file system."""
-        self.results.setdefault(benchmark.name, {})[fs_type] = repetitions
-        self.benchmarks[benchmark.name] = benchmark
-
-    def benchmark_names(self) -> List[str]:
-        """Benchmarks present in the result, in insertion order."""
-        return list(self.results)
-
-    def filesystems(self) -> List[str]:
-        """File systems present in the result."""
-        names: List[str] = []
-        for per_fs in self.results.values():
-            for fs_name in per_fs:
-                if fs_name not in names:
-                    names.append(fs_name)
-        return names
-
-    def result_for(self, benchmark_name: str, fs_type: str) -> RepetitionSet:
-        """The repetition set of one (benchmark, file system) cell."""
-        return self.results[benchmark_name][fs_type]
-
-    def by_dimension(self) -> Dict[Dimension, List[str]]:
-        """Benchmark names grouped by their primary dimension."""
-        grouped: Dict[Dimension, List[str]] = {}
-        for name, benchmark in self.benchmarks.items():
-            primary = benchmark.primary_dimension()
-            if primary is not None:
-                grouped.setdefault(primary, []).append(name)
-        return grouped
-
-
 class NanoBenchmarkSuite:
-    """Runs a list of nano-benchmarks across one or more file systems.
+    """A list of nano-benchmarks to run across one or more file systems.
+
+    ``suite.as_experiment(fs_types).run()`` measures it; pass
+    ``executor=...`` to share one worker pool and cache across runs.
 
     Parameters
     ----------
@@ -220,11 +183,6 @@ class NanoBenchmarkSuite:
         self.cache_dir = cache_dir
         self.snapshot_path = snapshot_path
 
-    def make_executor(self) -> ParallelExecutor:
-        """The executor this suite dispatches through (one cache per call)."""
-        cache = ResultCache(self.cache_dir) if self.cache_dir else None
-        return ParallelExecutor(n_workers=self.n_workers, cache=cache)
-
     def as_experiment(self, fs_types: Sequence[str] = DEFAULT_FS_TYPES) -> Experiment:
         """This suite as a declarative :class:`~repro.core.experiment.Experiment`.
 
@@ -251,29 +209,3 @@ class NanoBenchmarkSuite:
             n_workers=self.n_workers,
             cache_dir=self.cache_dir,
         )
-
-    def run(
-        self,
-        fs_types: Sequence[str] = DEFAULT_FS_TYPES,
-        executor: Optional[ParallelExecutor] = None,
-    ) -> SuiteResult:
-        """Run every benchmark on every file system.
-
-        Since the experiment-API redesign this is a thin shim: the suite
-        declares itself as an :class:`~repro.core.experiment.Experiment`
-        (see :meth:`as_experiment`) and reassembles the familiar
-        :class:`SuiteResult`; results and cache keys are bit-identical to
-        the pre-redesign path.  ``executor`` overrides the suite's own
-        executor (used by surveys that share one cache and worker pool
-        across several suites).
-        """
-        outcome = self.as_experiment(fs_types).run(
-            executor=executor if executor is not None else self.make_executor()
-        )
-        suite_result = SuiteResult(testbed=self.testbed)
-        for benchmark in self.benchmarks:
-            for fs_type in dict.fromkeys(fs_types):
-                suite_result.add(
-                    benchmark, fs_type, outcome.sets[group_label(benchmark.name, fs_type)]
-                )
-        return suite_result

@@ -11,13 +11,11 @@ that regenerates the table and its headline statistics (the dominance of
 ad-hoc benchmarks, the lack of overlap between papers), and lets users extend
 the database with new survey years.
 
-It also ships :class:`MeasuredSurvey`, the *executable* complement of the
+It also ships :func:`survey_report`, the *executable* complement of the
 literature survey: for every dimension the paper says an evaluation must
-cover, it runs the nano-benchmark suite's isolating components across file
-systems and reports measured ranges next to the usage statistics.  The
-(dimension x file system x repetition) grid is embarrassingly parallel and
-dispatches through :mod:`repro.core.parallel`, so surveys scale out over
-worker processes and re-runs are served from the persistent result cache.
+cover, it renders the measured ranges of the nano-benchmark suite's isolating
+components (a :class:`~repro.core.suite.NanoBenchmarkSuite` run as an
+:class:`~repro.core.experiment.Experiment`) next to the usage statistics.
 
 Reconstruction note: the usage counts and row set are taken verbatim from the
 paper.  The per-dimension symbols were reconstructed from the paper's text
@@ -32,10 +30,6 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.core.dimensions import Coverage, Dimension, DimensionVector
 from repro.core.frame import ResultFrame
-from repro.core.parallel import ParallelExecutor
-from repro.core.suite import NanoBenchmarkSuite, SuiteResult
-from repro.fs.stack import DEFAULT_FS_TYPES
-from repro.storage.config import TestbedConfig
 
 
 @dataclass
@@ -219,6 +213,18 @@ PAPERS_FROM_2010 = 68
 PAPERS_FROM_2009 = 32
 
 
+def _period_field(period: str) -> str:
+    """The :class:`BenchmarkEntry` count field of one survey period.
+
+    Every per-period read and write goes through here, so an unknown period
+    (``"2009-2010"`` for ``"2009_2010"``) raises instead of quietly reading
+    the other period's or both periods' counts.
+    """
+    if period not in ("1999_2007", "2009_2010"):
+        raise ValueError(f"unknown survey period: {period!r}")
+    return f"uses_{period}"
+
+
 class SurveyDatabase:
     """A collection of survey rows with Table-1 style aggregation."""
 
@@ -238,16 +244,12 @@ class SurveyDatabase:
         """
         if count <= 0:
             raise ValueError("count must be positive")
+        field = _period_field(period)
         entry = self._entries.get(name)
         if entry is None:
             entry = BenchmarkEntry(name=name, coverage=DimensionVector())
             self._entries[name] = entry
-        if period == "2009_2010":
-            entry.uses_2009_2010 += count
-        elif period == "1999_2007":
-            entry.uses_1999_2007 += count
-        else:
-            raise ValueError(f"unknown survey period: {period!r}")
+        setattr(entry, field, getattr(entry, field) + count)
 
     def get(self, name: str) -> BenchmarkEntry:
         """Return one row; raises ``KeyError`` for unknown benchmarks."""
@@ -266,23 +268,24 @@ class SurveyDatabase:
     # ------------------------------------------------------------ aggregates
     def total_uses(self, period: Optional[str] = None) -> int:
         """Total benchmark uses in one period (or both when ``period`` is None)."""
-        if period == "1999_2007":
-            return sum(e.uses_1999_2007 for e in self._entries.values())
-        if period == "2009_2010":
-            return sum(e.uses_2009_2010 for e in self._entries.values())
-        return sum(e.total_uses for e in self._entries.values())
+        if period is None:
+            return sum(e.total_uses for e in self._entries.values())
+        field = _period_field(period)
+        return sum(getattr(e, field) for e in self._entries.values())
 
     def adhoc_fraction(self, period: str = "2009_2010") -> float:
         """Fraction of uses that are ad-hoc benchmarks (the paper's headline complaint)."""
         total = self.total_uses(period)
         if total == 0:
             return 0.0
-        adhoc = sum(
-            (e.uses_2009_2010 if period == "2009_2010" else e.uses_1999_2007)
-            for e in self._entries.values()
-            if e.category == "adhoc"
-        )
+        field = _period_field(period)
+        adhoc = sum(getattr(e, field) for e in self._entries.values() if e.category == "adhoc")
         return adhoc / total
+
+    def most_used(self, period: str = "2009_2010") -> str:
+        """The most-used benchmark in one period (Ad-hoc, per the paper)."""
+        field = _period_field(period)
+        return max(self.entries(), key=lambda e: getattr(e, field)).name
 
     def isolating_benchmarks(self, dimension: Dimension) -> List[str]:
         """Benchmarks that isolate a given dimension."""
@@ -294,9 +297,10 @@ class SurveyDatabase:
 
     def dimension_use_counts(self, period: str = "2009_2010") -> Dict[Dimension, int]:
         """How many benchmark uses touched each dimension (at any coverage level)."""
+        field = _period_field(period)
         counts = {dimension: 0 for dimension in Dimension.ordered()}
         for entry in self._entries.values():
-            uses = entry.uses_2009_2010 if period == "2009_2010" else entry.uses_1999_2007
+            uses = getattr(entry, field)
             for dimension in Dimension.ordered():
                 if entry.coverage.covers(dimension):
                     counts[dimension] += uses
@@ -345,141 +349,64 @@ class SurveyDatabase:
 
 
 # ------------------------------------------------------------ measured survey
-@dataclass
-class MeasuredSurveyResult:
-    """Outcome of a :class:`MeasuredSurvey` run.
+def survey_report(database: SurveyDatabase, benchmarks, outcome) -> str:
+    """The measured survey: per-dimension survey context plus measured ranges.
 
-    Pairs the literature survey (who isolates which dimension, how often the
-    dimension was exercised in published evaluations) with actual
-    measurements of every dimension's isolating nano-benchmarks.
+    The executable complement of the literature survey: where ``database``
+    records which dimensions published papers *claimed* to evaluate, the
+    nano-benchmark suite (whose components isolate one dimension apiece)
+    actually measures each of them.  ``benchmarks`` are the suite's
+    :class:`~repro.core.benchmark.NanoBenchmark` objects, grouped by their
+    primary dimension; ``outcome`` is the
+    :class:`~repro.core.experiment.ExperimentResult` of
+    ``suite.as_experiment(fs_types).run()``.  Each dimension's table is a
+    pivot of ``mean +/- relative stddev`` cells (ranges, never single
+    numbers, per the paper) through the shared frame renderer.
     """
+    grouped: Dict[Dimension, List[str]] = {}
+    for benchmark in benchmarks:
+        primary = benchmark.primary_dimension()
+        if primary is not None:
+            grouped.setdefault(primary, []).append(benchmark.name)
+    dimensions = [dimension for dimension in Dimension.ordered() if dimension in grouped]
+    fs_names = outcome.axis_values("fs")
 
-    database: SurveyDatabase
-    suite_result: SuiteResult
-
-    def dimensions(self) -> List[Dimension]:
-        """Dimensions with at least one measured benchmark, in canonical order."""
-        grouped = self.suite_result.by_dimension()
-        return [dimension for dimension in Dimension.ordered() if dimension in grouped]
-
-    def benchmarks_for(self, dimension: Dimension) -> List[str]:
-        """Measured benchmark names whose primary dimension is ``dimension``."""
-        return self.suite_result.by_dimension().get(dimension, [])
-
-    def to_frame(self) -> ResultFrame:
-        """The measured cells as a tidy frame (one row per benchmark x fs).
-
-        Cells carry the pre-formatted ``mean +/- relative stddev`` strings
-        (ranges, never single numbers, per the paper) plus the dimension for
-        grouping.
-        """
-        frame = ResultFrame()
-        fs_names = self.suite_result.filesystems()
-        for dimension in self.dimensions():
-            for name in self.benchmarks_for(dimension):
-                for fs_name in fs_names:
-                    summary = self.suite_result.result_for(name, fs_name).throughput_summary()
-                    frame.append(
-                        {
-                            "dimension": dimension.title,
-                            "benchmark": name,
-                            "fs": fs_name,
-                            "value": (
-                                f"{summary.mean:.0f} "
-                                f"+/-{summary.relative_stddev_percent:.0f}%"
-                            ),
-                        }
-                    )
-        return frame
-
-    def render(self) -> str:
-        """Per-dimension report: survey context plus measured ranges.
-
-        Each dimension's table is a pivot of :meth:`to_frame` -- the shared
-        frame renderer, not bespoke table code.
-        """
-        lines: List[str] = ["Measured dimension survey", "========================="]
-        use_counts = self.database.dimension_use_counts()
-        frame = self.to_frame()
-        for dimension in self.dimensions():
-            isolating = self.database.isolating_benchmarks(dimension)
-            lines.append("")
-            lines.append(f"[{dimension.title}]")
-            lines.append(
-                f"  2009-2010 benchmark uses touching this dimension: {use_counts[dimension]}"
-            )
-            lines.append(
-                "  published benchmarks isolating it: "
-                + (", ".join(isolating) if isolating else "(none)")
-            )
-            lines.append(
-                frame.filter(dimension=dimension.title)
-                .pivot(index="benchmark", columns="fs", aggregate="first")
-                .render(
-                    index_headers=["Nano-benchmark"],
-                    column_header=lambda fs: f"{fs} (ops/s)",
+    frame = ResultFrame()
+    for dimension in dimensions:
+        for name in grouped[dimension]:
+            for fs_name in fs_names:
+                summary = outcome.result_for(workload=name, fs=fs_name).throughput_summary()
+                frame.append(
+                    {
+                        "dimension": dimension.title,
+                        "benchmark": name,
+                        "fs": fs_name,
+                        "value": (
+                            f"{summary.mean:.0f} "
+                            f"+/-{summary.relative_stddev_percent:.0f}%"
+                        ),
+                    }
                 )
-            )
-        return "\n".join(lines)
 
-
-class MeasuredSurvey:
-    """Execute the survey the paper wishes the community ran.
-
-    Where :class:`SurveyDatabase` records which dimensions published papers
-    *claimed* to evaluate, ``MeasuredSurvey`` actually evaluates each
-    dimension: it runs the nano-benchmark suite (whose components isolate one
-    dimension apiece) across file systems, many repetitions per cell, under
-    the controlled-cache-state, deliberate-noise protocol.
-
-    Parameters
-    ----------
-    database:
-        Literature survey providing the per-dimension context (defaults to
-        the paper's Table 1 data).
-    testbed, quick:
-        Machine to simulate and whether to use shortened protocols.
-    n_workers:
-        Worker processes for the parallel fan-out (``1`` = serial in-process,
-        ``None``/``0`` = one per CPU).  Any worker count produces
-        bit-identical results.
-    cache_dir:
-        Persistent result-cache directory; re-running a survey skips every
-        already-measured (benchmark, file system, repetition) cell.
-        ``None`` disables caching.
-    snapshot_path:
-        The aging axis: measure every dimension starting from the aged state
-        in this :class:`~repro.aging.snapshot.StateSnapshot` file instead of
-        a fresh file system (the snapshot fingerprint joins the cache key).
-    """
-
-    def __init__(
-        self,
-        database: Optional[SurveyDatabase] = None,
-        testbed: Optional[TestbedConfig] = None,
-        quick: bool = False,
-        n_workers: Optional[int] = 1,
-        cache_dir: Optional[str] = None,
-        snapshot_path: Optional[str] = None,
-    ) -> None:
-        self.database = database if database is not None else load_paper_survey()
-        self.suite = NanoBenchmarkSuite(
-            testbed=testbed,
-            quick=quick,
-            n_workers=n_workers,
-            cache_dir=cache_dir,
-            snapshot_path=snapshot_path,
+    lines: List[str] = ["Measured dimension survey", "========================="]
+    use_counts = database.dimension_use_counts()
+    for dimension in dimensions:
+        isolating = database.isolating_benchmarks(dimension)
+        lines.append("")
+        lines.append(f"[{dimension.title}]")
+        lines.append(
+            f"  2009-2010 benchmark uses touching this dimension: {use_counts[dimension]}"
         )
-
-    def run(
-        self,
-        fs_types: Sequence[str] = DEFAULT_FS_TYPES,
-        executor: Optional[ParallelExecutor] = None,
-    ) -> MeasuredSurveyResult:
-        """Measure every dimension on every file system.
-
-        ``executor`` overrides the survey's own executor, letting callers
-        share a worker pool and cache across several surveys.
-        """
-        suite_result = self.suite.run(fs_types, executor=executor)
-        return MeasuredSurveyResult(database=self.database, suite_result=suite_result)
+        lines.append(
+            "  published benchmarks isolating it: "
+            + (", ".join(isolating) if isolating else "(none)")
+        )
+        lines.append(
+            frame.filter(dimension=dimension.title)
+            .pivot(index="benchmark", columns="fs", aggregate="first")
+            .render(
+                index_headers=["Nano-benchmark"],
+                column_header=lambda fs: f"{fs} (ops/s)",
+            )
+        )
+    return "\n".join(lines)

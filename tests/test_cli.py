@@ -1,5 +1,8 @@
 """Tests for the command-line interface."""
 
+import hashlib
+from types import SimpleNamespace
+
 import pytest
 
 import repro.cli as cli
@@ -20,12 +23,25 @@ class TestParser:
 
 
 class TestTable1Command:
+    #: SHA-256 of ``fsbench-rocket table1`` stdout, recorded before Table 1
+    #: became plain functions over the survey database.
+    STDOUT_SHA256 = "16eee2e5c432661353d4f0cd9d5de5f2d4045c9aa17715b12dd80a1ffc5fd06e"
+
     def test_prints_the_table(self, capsys):
         assert cli.main(["table1"]) == 0
         output = capsys.readouterr().out
         assert "Postmark" in output
         assert "Ad-hoc" in output
         assert "Legend" in output
+
+    def test_stdout_is_pinned(self, capsys):
+        assert cli.main(["table1"]) == 0
+        output = capsys.readouterr().out
+        assert hashlib.sha256(output.encode()).hexdigest() == self.STDOUT_SHA256
+
+    def test_takes_no_options(self):
+        with pytest.raises(SystemExit):
+            cli.main(["table1", "--quick"])
 
 
 class TestFigureCommands:
@@ -90,11 +106,15 @@ class TestFigureCommands:
             def __init__(self, testbed=None, quick=False, n_workers=1, cache_dir=None, snapshot_path=None):
                 self.quick = quick
 
-            def run(self, fs_types):
-                return {"fs": fs_types}
+            benchmarks = []
+
+            def as_experiment(self, fs_types):
+                return SimpleNamespace(run=lambda: {"fs": fs_types})
 
         monkeypatch.setattr(cli, "NanoBenchmarkSuite", _FakeSuite)
-        monkeypatch.setattr(cli, "suite_report", lambda result: f"suite over {result['fs']}")
+        monkeypatch.setattr(
+            cli, "suite_report", lambda benchmarks, outcome: f"suite over {outcome['fs']}"
+        )
         assert cli.main(["suite", "--quick", "--fs", "ext2", "--scaled-testbed", "0.125"]) == 0
         assert "ext2" in capsys.readouterr().out
 
@@ -108,38 +128,42 @@ class TestParallelFlags:
         def __init__(self, testbed=None, quick=False, n_workers=1, cache_dir=None, snapshot_path=None):
             type(self).captured = {"n_workers": n_workers, "cache_dir": cache_dir}
 
-        def run(self, fs_types):
-            return {"fs": fs_types}
+        benchmarks = []
+
+        def as_experiment(self, fs_types):
+            return SimpleNamespace(run=lambda: {"fs": fs_types})
 
     def test_suite_workers_and_cache_dir(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "NanoBenchmarkSuite", self._FakeSuite)
-        monkeypatch.setattr(cli, "suite_report", lambda result: "ok")
+        monkeypatch.setattr(cli, "suite_report", lambda benchmarks, outcome: "ok")
         assert cli.main(["suite", "--workers", "4", "--cache-dir", "/tmp/c"]) == 0
         assert self._FakeSuite.captured == {"n_workers": 4, "cache_dir": "/tmp/c"}
 
     def test_no_cache_overrides_cache_dir(self, monkeypatch):
         monkeypatch.setattr(cli, "NanoBenchmarkSuite", self._FakeSuite)
-        monkeypatch.setattr(cli, "suite_report", lambda result: "ok")
+        monkeypatch.setattr(cli, "suite_report", lambda benchmarks, outcome: "ok")
         cli.main(["suite", "--cache-dir", "/tmp/c", "--no-cache"])
         assert self._FakeSuite.captured["cache_dir"] is None
 
     def test_survey_dispatch(self, monkeypatch, capsys):
         captured = {}
 
-        class _FakeSurvey:
+        class _FakeSuite:
+            benchmarks = []
+
             def __init__(self, testbed=None, quick=False, n_workers=1, cache_dir=None, snapshot_path=None):
                 captured.update(n_workers=n_workers, cache_dir=cache_dir, quick=quick)
 
-            def run(self, fs_types):
+            def as_experiment(self, fs_types):
                 captured["fs"] = fs_types
+                return SimpleNamespace(run=lambda: "outcome")
 
-                class _Result:
-                    def render(self):
-                        return "survey-render"
+        def fake_survey_report(database, benchmarks, outcome):
+            assert outcome == "outcome" and "Ad-hoc" in database
+            return "survey-render"
 
-                return _Result()
-
-        monkeypatch.setattr(cli, "MeasuredSurvey", _FakeSurvey)
+        monkeypatch.setattr(cli, "NanoBenchmarkSuite", _FakeSuite)
+        monkeypatch.setattr(cli, "survey_report", fake_survey_report)
         assert cli.main(["survey", "--quick", "--fs", "xfs", "--workers", "0"]) == 0
         assert captured["n_workers"] == 0
         assert captured["quick"] is True
@@ -156,8 +180,10 @@ class TestDeviceAndSchedulerFlags:
         def __init__(self, testbed=None, quick=False, n_workers=1, cache_dir=None, snapshot_path=None):
             type(self).captured = {"testbed": testbed}
 
-        def run(self, fs_types):
-            return {"fs": fs_types}
+        benchmarks = []
+
+        def as_experiment(self, fs_types):
+            return SimpleNamespace(run=lambda: {"fs": fs_types})
 
     def test_choices_track_the_registries(self):
         from repro.storage.config import DEVICE_REGISTRY
@@ -169,7 +195,7 @@ class TestDeviceAndSchedulerFlags:
 
     def test_suite_device_and_scheduler_reach_the_testbed(self, monkeypatch):
         monkeypatch.setattr(cli, "NanoBenchmarkSuite", self._FakeSuite)
-        monkeypatch.setattr(cli, "suite_report", lambda result: "ok")
+        monkeypatch.setattr(cli, "suite_report", lambda benchmarks, outcome: "ok")
         assert (
             cli.main(
                 ["suite", "--quick", "--device", "ssd-ftl", "--scheduler", "deadline"]

@@ -291,7 +291,7 @@ class TestSuiteEquivalence:
     def test_grid_matches_suite_cells(self, testbed, benchmarks, n_workers):
         fs_types = ("ext2", "xfs")
         suite = NanoBenchmarkSuite(benchmarks, testbed=testbed, n_workers=n_workers)
-        suite_result = suite.run(fs_types)
+        suite_result = suite.as_experiment(fs_types).run()
 
         experiment = Experiment(
             ParameterGrid.of(workload=benchmarks, fs=fs_types, seed=(42, 43)),
@@ -301,7 +301,7 @@ class TestSuiteEquivalence:
         outcome = experiment.run()
         for benchmark in benchmarks:
             for fs_type in fs_types:
-                assert dicts(suite_result.result_for(benchmark.name, fs_type)) == dicts(
+                assert dicts(suite_result.result_for(workload=benchmark.name, fs=fs_type)) == dicts(
                     outcome.sets[group_label(benchmark.name, fs_type)]
                 ), (benchmark.name, fs_type, n_workers)
 
@@ -321,7 +321,7 @@ class TestSuiteEquivalence:
         suite = NanoBenchmarkSuite(
             benchmarks, testbed=testbed, n_workers=1, cache_dir=cache_dir
         )
-        suite.run(("ext2",))
+        suite.as_experiment(("ext2",)).run()
 
         experiment = Experiment(
             ParameterGrid.of(workload=benchmarks, fs=("ext2",)),

@@ -13,7 +13,8 @@ import io
 import pytest
 
 from repro.analysis.transition import find_transition
-from repro.experiments import FIGURES, run_figure, run_table1, run_transition_zoom
+from repro.core.survey import load_paper_survey
+from repro.experiments import FIGURES, run_figure, run_transition_zoom, table1_checks, table1_report
 from repro.experiments.config import ExperimentScale, default_scale, paper_scale, quick_scale
 from repro.experiments.figures import (
     figure1_rows,
@@ -275,9 +276,9 @@ class TestFigurePins:
 
 class TestTable1Harness:
     def test_all_checks_pass(self):
-        result = run_table1()
-        assert all(result.checks().values())
-        assert result.row_count() == 19
-        assert result.most_used() == "Ad-hoc"
-        rendered = result.render()
+        database = load_paper_survey()
+        assert all(table1_checks(database).values())
+        assert len(database) == 19
+        assert database.most_used() == "Ad-hoc"
+        rendered = table1_report(database)
         assert "Postmark" in rendered and "Ad-hoc" in rendered

@@ -37,7 +37,6 @@ from repro.core.parallel import cache_key
 from repro.core.persistence import run_result_to_dict
 from repro.core.runner import BenchmarkConfig, WarmupMode, run_single_repetition
 from repro.core.suite import NanoBenchmarkSuite
-from repro.core.survey import MeasuredSurvey
 from repro.fs.allocation import BlockGroupAllocator, MultiBlockAllocator
 from repro.fs.ext3 import JournalMode
 from repro.fs.ext4 import Ext4FileSystem
@@ -275,9 +274,9 @@ class TestExt4Snapshots:
 class TestExt4SurveyCell:
     def test_default_grids_include_ext4(self):
         assert DEFAULT_FS_TYPES == ("ext2", "ext3", "ext4", "xfs")
-        for method in (NanoBenchmarkSuite.run, MeasuredSurvey.run):
-            default = inspect.signature(method).parameters["fs_types"].default
-            assert "ext4" in default
+        # The suite and survey commands both measure this one suite grid.
+        default = inspect.signature(NanoBenchmarkSuite.as_experiment).parameters["fs_types"].default
+        assert "ext4" in default
 
     def test_cli_accepts_ext4_everywhere(self):
         from repro.cli import _build_parser
@@ -289,7 +288,6 @@ class TestExt4SurveyCell:
             ["age", "--fs", "ext4"],
             ["figure1", "--fs", "ext4"],
             ["figure2", "--fs", "ext4"],
-            ["table1", "--measured", "--fs", "ext4"],
         ):
             args = parser.parse_args(argv)
             fs = args.fs if isinstance(args.fs, str) else args.fs[0]
@@ -317,11 +315,15 @@ class TestExt4SurveyCell:
                 ),
             )
         ]
-        serial = NanoBenchmarkSuite(benchmarks, testbed=TESTBED, n_workers=1).run(("ext4",))
-        parallel = NanoBenchmarkSuite(benchmarks, testbed=TESTBED, n_workers=2).run(("ext4",))
-        for name in serial.benchmark_names():
-            before = [run_result_to_dict(r) for r in serial.result_for(name, "ext4").runs]
-            after = [run_result_to_dict(r) for r in parallel.result_for(name, "ext4").runs]
+        serial = NanoBenchmarkSuite(benchmarks, testbed=TESTBED, n_workers=1).as_experiment(
+            ("ext4",)
+        ).run()
+        parallel = NanoBenchmarkSuite(benchmarks, testbed=TESTBED, n_workers=2).as_experiment(
+            ("ext4",)
+        ).run()
+        for name in serial.axis_values("workload"):
+            before = [run_result_to_dict(r) for r in serial.result_for(workload=name, fs="ext4").runs]
+            after = [run_result_to_dict(r) for r in parallel.result_for(workload=name, fs="ext4").runs]
             assert json.dumps(before, sort_keys=True) == json.dumps(after, sort_keys=True)
 
     def test_cache_keys_separate_ext4_from_every_other_fs(self, tmp_path):

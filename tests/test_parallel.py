@@ -4,7 +4,7 @@ The load-bearing guarantees:
 
 * parallel execution is **bit-identical** to serial execution (same seeds,
   same spreads, same histograms) for any worker count;
-* the refactored suite path reproduces exactly what the old serial
+* the experiment path reproduces exactly what the serial
   ``NanoBenchmark.run`` loop produced;
 * the result cache serves previously measured cells and invalidates on any
   input change (spec, testbed, protocol, seed).
@@ -19,11 +19,10 @@ import pytest
 
 from repro.core.benchmark import NanoBenchmark
 from repro.core.dimensions import Dimension, DimensionVector
+from repro.core.experiment import Experiment, ParameterGrid
 from repro.core.parallel import (
     ParallelExecutor,
     ResultCache,
-    WorkUnit,
-    benchmark_units,
     cache_key,
     execute_unit,
 )
@@ -37,7 +36,7 @@ from repro.core.runner import (
     run_single_repetition,
 )
 from repro.core.suite import NanoBenchmarkSuite
-from repro.core.survey import MeasuredSurvey
+from repro.core.survey import load_paper_survey, survey_report
 from repro.storage.config import scaled_testbed
 from repro.workloads.micro import random_read_workload, stat_workload
 
@@ -74,6 +73,20 @@ def dicts(repetitions: RepetitionSet):
     return [run_result_to_dict(run) for run in repetitions]
 
 
+def experiment_of(workload, fs_type, testbed, config=None):
+    """One benchmark (or bare spec) on one file system, as an Experiment."""
+    return Experiment(
+        grid=ParameterGrid({"workload": [workload], "fs": [fs_type]}),
+        testbed=testbed,
+        config=config,
+    )
+
+
+def units_of(benchmark, fs_type, testbed, config=None):
+    """The per-repetition work units of one benchmark on one file system."""
+    return experiment_of(benchmark, fs_type, testbed, config=config).work_units()
+
+
 class TestRunSingleRepetition:
     def test_matches_runner_run_once(self, testbed):
         config = quick_config()
@@ -84,7 +97,7 @@ class TestRunSingleRepetition:
         assert run_result_to_dict(direct) == run_result_to_dict(pure)
 
     def test_work_units_are_picklable(self, testbed, nano):
-        units = benchmark_units(nano, "ext2", testbed=testbed)
+        units = units_of(nano, "ext2", testbed)
         restored = pickle.loads(pickle.dumps(units))
         assert len(restored) == 3
         assert run_result_to_dict(execute_unit(restored[0])) == run_result_to_dict(
@@ -94,17 +107,15 @@ class TestRunSingleRepetition:
 
 class TestSerialParallelEquivalence:
     def test_parallel_is_bit_identical_to_serial(self, testbed, nano):
-        units = benchmark_units(nano, "ext2", testbed=testbed)
-        serial = ParallelExecutor(n_workers=1).run_repetition_sets(units)
-        parallel = ParallelExecutor(n_workers=2).run_repetition_sets(units)
+        experiment = experiment_of(nano, "ext2", testbed)
+        serial = experiment.run(executor=ParallelExecutor(n_workers=1)).sets
+        parallel = experiment.run(executor=ParallelExecutor(n_workers=2)).sets
         assert serial.keys() == parallel.keys() == {"inmemory@ext2"}
         assert dicts(serial["inmemory@ext2"]) == dicts(parallel["inmemory@ext2"])
 
     def test_executor_path_matches_legacy_benchmark_run(self, testbed, nano):
         legacy = nano.run("ext2", testbed=testbed)
-        via_units = ParallelExecutor(n_workers=1).run_repetition_sets(
-            benchmark_units(nano, "ext2", testbed=testbed)
-        )["inmemory@ext2"]
+        via_units = experiment_of(nano, "ext2", testbed).run().sets["inmemory@ext2"]
         assert legacy.label == via_units.label
         assert dicts(legacy) == dicts(via_units)
 
@@ -123,14 +134,18 @@ class TestSerialParallelEquivalence:
                 config=quick_config(repetitions=2, warmup_mode=WarmupMode.NONE),
             ),
         ]
-        serial = NanoBenchmarkSuite(benchmarks, testbed=testbed, n_workers=1).run(("ext2", "xfs"))
-        parallel = NanoBenchmarkSuite(benchmarks, testbed=testbed, n_workers=2).run(("ext2", "xfs"))
-        assert serial.benchmark_names() == parallel.benchmark_names()
-        assert serial.filesystems() == parallel.filesystems()
-        for name in serial.benchmark_names():
-            for fs_name in serial.filesystems():
-                assert dicts(serial.result_for(name, fs_name)) == dicts(
-                    parallel.result_for(name, fs_name)
+        serial = NanoBenchmarkSuite(benchmarks, testbed=testbed, n_workers=1).as_experiment(
+            ("ext2", "xfs")
+        ).run()
+        parallel = NanoBenchmarkSuite(benchmarks, testbed=testbed, n_workers=2).as_experiment(
+            ("ext2", "xfs")
+        ).run()
+        assert serial.axis_values("workload") == parallel.axis_values("workload")
+        assert serial.axis_values("fs") == parallel.axis_values("fs")
+        for name in serial.axis_values("workload"):
+            for fs_name in serial.axis_values("fs"):
+                assert dicts(serial.result_for(workload=name, fs=fs_name)) == dicts(
+                    parallel.result_for(workload=name, fs=fs_name)
                 ), (name, fs_name)
 
     def test_nondeterministic_factory_keeps_one_spec_per_cell(self, testbed):
@@ -144,12 +159,13 @@ class TestSerialParallelEquivalence:
             workload_factory=lambda: random_read_workload(next(sizes)),
             config=quick_config(repetitions=2),
         )
-        units = benchmark_units(bench, "ext2", testbed=testbed)
+        experiment = experiment_of(bench, "ext2", testbed)
+        units = experiment.work_units()
         assert units[0].spec is units[1].spec
         serial = BenchmarkRunner(fs_type="ext2", testbed=testbed, config=bench.config).run(
             units[0].spec, label="varying@ext2"
         )
-        via_units = ParallelExecutor(n_workers=2).run_repetition_sets(units)["varying@ext2"]
+        via_units = experiment.run(executor=ParallelExecutor(n_workers=2)).sets["varying@ext2"]
         assert dicts(serial) == dicts(via_units)
 
     def test_duplicate_fs_types_collapse_like_the_serial_loop(self, testbed):
@@ -161,17 +177,17 @@ class TestSerialParallelEquivalence:
                 config=quick_config(repetitions=2),
             )
         ]
-        once = NanoBenchmarkSuite(benchmarks, testbed=testbed).run(("ext2",))
-        doubled = NanoBenchmarkSuite(benchmarks, testbed=testbed).run(("ext2", "ext2"))
-        assert len(doubled.result_for("inmemory", "ext2")) == 2
-        assert dicts(once.result_for("inmemory", "ext2")) == dicts(
-            doubled.result_for("inmemory", "ext2")
+        once = NanoBenchmarkSuite(benchmarks, testbed=testbed).as_experiment(("ext2",)).run()
+        doubled = NanoBenchmarkSuite(benchmarks, testbed=testbed).as_experiment(
+            ("ext2", "ext2")
+        ).run()
+        assert len(doubled.result_for(workload="inmemory", fs="ext2")) == 2
+        assert dicts(once.result_for(workload="inmemory", fs="ext2")) == dicts(
+            doubled.result_for(workload="inmemory", fs="ext2")
         )
 
     def test_noise_is_still_injected_per_repetition(self, testbed, nano):
-        runs = ParallelExecutor(n_workers=2).run_units(
-            benchmark_units(nano, "ext2", testbed=testbed)
-        )
+        runs = ParallelExecutor(n_workers=2).run_units(units_of(nano, "ext2", testbed))
         cpu_factors = {run.environment["cpu_speed_factor"] for run in runs}
         assert len(cpu_factors) == len(runs)
 
@@ -204,9 +220,9 @@ class TestCacheKey:
     def test_repetition_and_base_seed_normalise_to_effective_seed(self, testbed, nano):
         # Repetition 1 of a seed-42 run is the same measurement as
         # repetition 0 of a seed-43 run; they must share a cache entry.
-        units_42 = benchmark_units(nano, "ext2", testbed=testbed)
+        units_42 = units_of(nano, "ext2", testbed)
         shifted = replace(nano.config, seed=43)
-        units_43 = benchmark_units(nano, "ext2", testbed=testbed, config=shifted)
+        units_43 = units_of(nano, "ext2", testbed, config=shifted)
         assert units_42[1].key() == units_43[0].key()
         assert units_42[0].key() != units_43[0].key()
 
@@ -230,7 +246,7 @@ class TestCacheKey:
 class TestResultCache:
     def test_roundtrip(self, tmp_path, testbed, nano):
         cache = ResultCache(str(tmp_path))
-        unit = benchmark_units(nano, "ext2", testbed=testbed)[0]
+        unit = units_of(nano, "ext2", testbed)[0]
         run = execute_unit(unit)
         cache.put(unit.key(), run)
         loaded = cache.get(unit.key())
@@ -252,7 +268,7 @@ class TestResultCache:
         assert cache.stats.misses == 2
 
     def test_second_run_is_served_entirely_from_cache(self, tmp_path, testbed, nano):
-        units = benchmark_units(nano, "ext2", testbed=testbed)
+        units = units_of(nano, "ext2", testbed)
         cache = ResultCache(str(tmp_path))
         executor = ParallelExecutor(n_workers=1, cache=cache)
         fresh = executor.run_units(units)
@@ -266,7 +282,7 @@ class TestResultCache:
     def test_cache_entries_survive_process_boundaries_logically(self, tmp_path, testbed, nano):
         # A different executor (and worker count) over the same directory
         # still hits: the key depends only on measurement inputs.
-        units = benchmark_units(nano, "ext2", testbed=testbed)
+        units = units_of(nano, "ext2", testbed)
         ParallelExecutor(n_workers=2, cache=ResultCache(str(tmp_path))).run_units(units)
         cache = ResultCache(str(tmp_path))
         ParallelExecutor(n_workers=1, cache=cache).run_units(units)
@@ -275,22 +291,18 @@ class TestResultCache:
     def test_config_change_invalidates(self, tmp_path, testbed, nano):
         cache = ResultCache(str(tmp_path))
         executor = ParallelExecutor(n_workers=1, cache=cache)
-        executor.run_units(benchmark_units(nano, "ext2", testbed=testbed))
+        executor.run_units(units_of(nano, "ext2", testbed))
         longer = replace(nano.config, duration_s=0.75)
-        executor.run_units(
-            benchmark_units(nano, "ext2", testbed=testbed, config=longer)
-        )
+        executor.run_units(units_of(nano, "ext2", testbed, config=longer))
         assert cache.stats.hits == 0
         assert cache.stats.stores == 6
 
     def test_cached_repetition_index_is_relabelled(self, tmp_path, testbed, nano):
         cache = ResultCache(str(tmp_path))
         executor = ParallelExecutor(n_workers=1, cache=cache)
-        executor.run_units(benchmark_units(nano, "ext2", testbed=testbed))
+        executor.run_units(units_of(nano, "ext2", testbed))
         shifted = replace(nano.config, seed=nano.config.seed + 1, repetitions=2)
-        runs = executor.run_units(
-            benchmark_units(nano, "ext2", testbed=testbed, config=shifted)
-        )
+        runs = executor.run_units(units_of(nano, "ext2", testbed, config=shifted))
         # Seeds 43,44 were measured as repetitions 1,2 of the seed-42 run;
         # they come back relabelled as repetitions 0,1 of this run.
         assert cache.stats.hits == 2
@@ -299,9 +311,7 @@ class TestResultCache:
 
     def test_clear(self, tmp_path, testbed, nano):
         cache = ResultCache(str(tmp_path))
-        ParallelExecutor(n_workers=1, cache=cache).run_units(
-            benchmark_units(nano, "ext2", testbed=testbed)
-        )
+        ParallelExecutor(n_workers=1, cache=cache).run_units(units_of(nano, "ext2", testbed))
         assert len(cache) == 3
         assert cache.clear() == 3
         assert len(cache) == 0
@@ -350,7 +360,7 @@ class TestResultCache:
 
 class TestMergeHelpers:
     def test_merge_shards_reassembles_serial_order(self, testbed, nano):
-        units = benchmark_units(nano, "ext2", testbed=testbed)
+        units = units_of(nano, "ext2", testbed)
         runs = ParallelExecutor(n_workers=1).run_units(units)
         label = "inmemory@ext2"
         shard_a = RepetitionSet(label=label, runs=[runs[2]])
@@ -366,21 +376,24 @@ class TestMergeHelpers:
             merge_repetition_sets([])
 
 
-class TestMeasuredSurvey:
+class TestSurveyReport:
     def test_runs_and_renders(self, testbed):
-        survey = MeasuredSurvey(testbed=testbed, quick=True, n_workers=1)
-        # Shrink the suite drastically so the test stays fast.
-        survey.suite.benchmarks = [
-            NanoBenchmark(
-                name="inmemory",
-                description="cached reads",
-                workload_factory=lambda: random_read_workload(2 * MiB),
-                dimensions=DimensionVector.of(isolates=[Dimension.CACHING]),
-                config=quick_config(repetitions=2),
-            )
-        ]
-        result = survey.run(("ext2",))
-        report = result.render()
+        suite = NanoBenchmarkSuite(
+            # A drastically shrunk suite so the test stays fast.
+            [
+                NanoBenchmark(
+                    name="inmemory",
+                    description="cached reads",
+                    workload_factory=lambda: random_read_workload(2 * MiB),
+                    dimensions=DimensionVector.of(isolates=[Dimension.CACHING]),
+                    config=quick_config(repetitions=2),
+                )
+            ],
+            testbed=testbed,
+            n_workers=1,
+        )
+        outcome = suite.as_experiment(("ext2",)).run()
+        report = survey_report(load_paper_survey(), suite.benchmarks, outcome)
         assert "Measured dimension survey" in report
         assert "inmemory" in report
         assert "ext2" in report
@@ -388,28 +401,29 @@ class TestMeasuredSurvey:
 
     def test_survey_uses_cache(self, tmp_path, testbed):
         def build(cache_dir):
-            survey = MeasuredSurvey(
-                testbed=testbed, quick=True, n_workers=1, cache_dir=cache_dir
-            )
-            survey.suite.benchmarks = [
-                NanoBenchmark(
-                    name="inmemory",
-                    description="cached reads",
-                    workload_factory=lambda: random_read_workload(2 * MiB),
-                    config=quick_config(repetitions=2),
-                )
-            ]
-            return survey
+            return NanoBenchmarkSuite(
+                [
+                    NanoBenchmark(
+                        name="inmemory",
+                        description="cached reads",
+                        workload_factory=lambda: random_read_workload(2 * MiB),
+                        config=quick_config(repetitions=2),
+                    )
+                ],
+                testbed=testbed,
+                n_workers=1,
+                cache_dir=cache_dir,
+            ).as_experiment(("ext2",))
 
         cache_dir = str(tmp_path / "cache")
         first = build(cache_dir)
-        executor = first.suite.make_executor()
-        first.run(("ext2",), executor=executor)
+        executor = first.make_executor()
+        first.run(executor=executor)
         assert executor.cache.stats.stores == 2
 
         second = build(cache_dir)
-        executor = second.suite.make_executor()
-        second.run(("ext2",), executor=executor)
+        executor = second.make_executor()
+        second.run(executor=executor)
         assert (executor.cache.stats.hits, executor.cache.stats.misses) == (2, 0)
 
 
@@ -417,7 +431,7 @@ class TestExecutorEdgeCases:
     def test_invalid_config_fails_at_expansion_not_in_workers(self, testbed, nano):
         bad = replace(nano.config, repetitions=0)
         with pytest.raises(ValueError, match="repetitions"):
-            benchmark_units(nano, "ext2", testbed=testbed, config=bad)
+            units_of(nano, "ext2", testbed, config=bad)
 
     def test_duplicate_benchmark_names_rejected(self, testbed, nano):
         clone = NanoBenchmark(
@@ -431,7 +445,6 @@ class TestExecutorEdgeCases:
 
     def test_empty_unit_list(self):
         assert ParallelExecutor(n_workers=2).run_units([]) == []
-        assert ParallelExecutor(n_workers=2).run_repetition_sets([]) == {}
 
     def test_zero_workers_means_cpu_count(self):
         assert ParallelExecutor(n_workers=0).n_workers >= 1
@@ -443,8 +456,5 @@ class TestExecutorEdgeCases:
 
     def test_group_defaults_to_spec_and_fs(self, testbed):
         spec = random_read_workload(MiB)
-        unit = WorkUnit(
-            fs_type="ext2", spec=spec, config=quick_config(repetitions=1), testbed=testbed
-        )
-        sets = ParallelExecutor(n_workers=1).run_repetition_sets([unit])
-        assert list(sets) == [f"{spec.name}@ext2"]
+        experiment = experiment_of(spec, "ext2", testbed, config=quick_config(repetitions=1))
+        assert list(experiment.run().sets) == [f"{spec.name}@ext2"]

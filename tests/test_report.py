@@ -112,8 +112,8 @@ class TestSuiteReport:
     def test_suite_report_renders_all_cells(self):
         from repro.core.benchmark import NanoBenchmark
         from repro.core.dimensions import Dimension, DimensionVector
-        from repro.core.suite import SuiteResult
-        from repro.storage.config import paper_testbed
+        from repro.core.experiment import Experiment, ExperimentResult
+        from repro.core.frame import ResultFrame
         from repro.workloads.micro import random_read_workload
 
         benchmark = NanoBenchmark(
@@ -122,10 +122,21 @@ class TestSuiteReport:
             workload_factory=lambda: random_read_workload(1024 * 1024),
             dimensions=DimensionVector.of(isolates=[Dimension.CACHING]),
         )
-        result = SuiteResult(testbed=paper_testbed())
-        result.add(benchmark, "ext2", RepetitionSet("a", [make_run(100.0 + i) for i in range(3)]))
-        result.add(benchmark, "xfs", RepetitionSet("b", [make_run(300.0 + i) for i in range(3)]))
-        text = suite_report(result)
+        # Expanded, never run: the report reads hand-made repetition sets.
+        cells = Experiment({"workload": [benchmark], "fs": ["ext2", "xfs"]}).cells()
+        means = {"ext2": 100.0, "xfs": 300.0}
+        outcome = ExperimentResult(
+            name="suite",
+            cells=cells,
+            sets={
+                cell.label: RepetitionSet(
+                    cell.label, [make_run(means[cell.fs_type] + i) for i in range(3)]
+                )
+                for cell in cells
+            },
+            frame=ResultFrame(),
+        )
+        text = suite_report([benchmark], outcome)
         assert "mini" in text
         assert "ext2" in text and "xfs" in text
         assert "Caching" in text

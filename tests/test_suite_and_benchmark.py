@@ -1,12 +1,16 @@
 """Tests for NanoBenchmark, the suite, and self-scaling sweeps."""
 
+import hashlib
+
 import pytest
 
 from repro.core.benchmark import NanoBenchmark
 from repro.core.dimensions import Dimension, DimensionVector
+from repro.core.report import suite_report
 from repro.core.runner import BenchmarkConfig, EnvironmentNoise, WarmupMode
 from repro.core.selfscaling import SelfScalingBenchmark
 from repro.core.suite import NanoBenchmarkSuite, default_suite
+from repro.core.survey import load_paper_survey, survey_report
 from repro.storage.config import scaled_testbed
 from repro.workloads.micro import random_read_workload
 
@@ -79,42 +83,75 @@ class TestDefaultSuite:
         assert big_size > small_size
 
 
-class TestSuiteRun:
-    def test_suite_runs_across_filesystems(self):
-        testbed = scaled_testbed(1.0 / 16.0)
-        benchmarks = [
+def mini_suite(**protocol):
+    """Two benchmarks isolating two dimensions on the 1/16-scale machine."""
+    return NanoBenchmarkSuite(
+        benchmarks=[
             NanoBenchmark(
                 name="inmemory-mini",
                 description="cached random reads",
                 workload_factory=lambda: random_read_workload(2 * MiB),
                 dimensions=DimensionVector.of(isolates=[Dimension.CACHING]),
-                config=quick_protocol(),
+                config=quick_protocol(**protocol),
             ),
             NanoBenchmark(
                 name="ondisk-mini",
                 description="cold random reads",
                 workload_factory=lambda: random_read_workload(16 * MiB),
                 dimensions=DimensionVector.of(isolates=[Dimension.ONDISK]),
-                config=quick_protocol(warmup_mode=WarmupMode.NONE),
+                config=quick_protocol(warmup_mode=WarmupMode.NONE, **protocol),
             ),
-        ]
-        suite = NanoBenchmarkSuite(benchmarks=benchmarks, testbed=testbed)
-        result = suite.run(fs_types=("ext2", "xfs"))
-        assert result.benchmark_names() == ["inmemory-mini", "ondisk-mini"]
-        assert result.filesystems() == ["ext2", "xfs"]
-        for benchmark_name in result.benchmark_names():
-            for fs_name in result.filesystems():
-                assert len(result.result_for(benchmark_name, fs_name)) == 2
-        by_dimension = result.by_dimension()
-        assert Dimension.CACHING in by_dimension
-        assert Dimension.ONDISK in by_dimension
+        ],
+        testbed=scaled_testbed(1.0 / 16.0),
+    )
+
+
+class TestSuiteRun:
+    def test_suite_runs_across_filesystems(self):
+        suite = mini_suite()
+        outcome = suite.as_experiment(fs_types=("ext2", "xfs")).run()
+        assert outcome.axis_values("workload") == ["inmemory-mini", "ondisk-mini"]
+        assert outcome.axis_values("fs") == ["ext2", "xfs"]
+        for benchmark_name in outcome.axis_values("workload"):
+            for fs_name in outcome.axis_values("fs"):
+                assert len(outcome.result_for(workload=benchmark_name, fs=fs_name)) == 2
+        primaries = {benchmark.primary_dimension() for benchmark in suite.benchmarks}
+        assert Dimension.CACHING in primaries
+        assert Dimension.ONDISK in primaries
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValueError):
             NanoBenchmarkSuite(benchmarks=[])
         suite = NanoBenchmarkSuite(testbed=scaled_testbed(1.0 / 16.0), quick=True)
         with pytest.raises(ValueError):
-            suite.run(fs_types=())
+            suite.as_experiment(fs_types=())
+
+
+class TestSuiteAndSurveyRenderPins:
+    """Byte-for-byte pins of both suite renderers on a noisy two-benchmark run.
+
+    The digests were recorded before the suite and survey reports were
+    rewritten to read the ExperimentResult directly; a renderer change that
+    moves one byte of either report fails here.
+    """
+
+    SUITE_REPORT_SHA256 = "cba0fe9f6532830b558efe96d155ea27c40cf1737885778f22b968b65709c67a"
+    SURVEY_REPORT_SHA256 = "5f287d1306e96056d0e92e12b1e41b5f4679daa294019cda4301915033dd8b55"
+
+    @pytest.fixture(scope="class")
+    def measured(self):
+        suite = mini_suite(noise=EnvironmentNoise())
+        return suite, suite.as_experiment(("ext2", "xfs")).run()
+
+    def test_suite_report_is_pinned(self, measured):
+        suite, outcome = measured
+        text = suite_report(suite.benchmarks, outcome)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.SUITE_REPORT_SHA256
+
+    def test_survey_report_is_pinned(self, measured):
+        suite, outcome = measured
+        text = survey_report(load_paper_survey(), suite.benchmarks, outcome)
+        assert hashlib.sha256(text.encode()).hexdigest() == self.SURVEY_REPORT_SHA256
 
 
 class TestSelfScaling:

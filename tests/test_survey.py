@@ -92,6 +92,21 @@ class TestAggregation:
         assert set(counts) == set(Dimension)
         assert all(count >= 0 for count in counts.values())
 
+    def test_unknown_period_raises_instead_of_reading_another(self, survey):
+        # "2009-2010" (hyphen) once read both periods' totals, and
+        # dimension_use_counts read it as 1999_2007.
+        for read in (
+            survey.total_uses,
+            survey.adhoc_fraction,
+            survey.dimension_use_counts,
+            survey.most_used,
+        ):
+            with pytest.raises(ValueError, match="unknown survey period"):
+                read("2009-2010")
+
+    def test_most_used_per_period(self, survey):
+        assert survey.most_used("1999_2007") == survey.most_used("2009_2010") == "Ad-hoc"
+
     def test_coverage_matrix_shape(self, survey):
         matrix = survey.coverage_matrix()
         assert len(matrix) == 19
@@ -113,6 +128,10 @@ class TestExtendingTheSurvey:
             survey.record_use("Filebench", count=0)
         with pytest.raises(ValueError):
             survey.record_use("Filebench", period="2042")
+        # A rejected period adds no empty row for an unknown benchmark.
+        with pytest.raises(ValueError):
+            survey.record_use("fio-ng", period="2042")
+        assert "fio-ng" not in survey
 
     def test_add_replaces_entry(self):
         database = SurveyDatabase()
