@@ -289,9 +289,6 @@ class OperationCost:
     dirty_page_keys:
         Page-cache keys that the operation made dirty (data and metadata
         writes -- these are written back later, asynchronously).
-    cache_fill_keys:
-        Page-cache keys that should be inserted clean as a result of the
-        operation (e.g. cluster reads bringing neighbouring pages in).
     metadata_reads:
         ``(page_key, request)`` pairs for metadata the operation needs: the
         VFS performs the device read only when the key misses the page cache
@@ -309,7 +306,6 @@ class OperationCost:
     cpu_ns: float = 0.0
     device_requests: List[IORequest] = field(default_factory=list)
     dirty_page_keys: List[Tuple[int, int]] = field(default_factory=list)
-    cache_fill_keys: List[Tuple[int, int]] = field(default_factory=list)
     metadata_reads: List[Tuple[Tuple[int, int], IORequest]] = field(default_factory=list)
     discard_requests: List[IORequest] = field(default_factory=list)
     #: Number of device cache flushes (write barriers) the operation requires.
@@ -321,7 +317,6 @@ class OperationCost:
             cpu_ns=self.cpu_ns + other.cpu_ns,
             device_requests=self.device_requests + other.device_requests,
             dirty_page_keys=self.dirty_page_keys + other.dirty_page_keys,
-            cache_fill_keys=self.cache_fill_keys + other.cache_fill_keys,
             metadata_reads=self.metadata_reads + other.metadata_reads,
             discard_requests=self.discard_requests + other.discard_requests,
             flushes=self.flushes + other.flushes,

@@ -279,13 +279,7 @@ class VFS:
         first_page = position >> self._page_shift
         last_page = (end - 1) >> self._page_shift
         page_count = last_page - first_page + 1
-        ino = inode.number
-        cache = self.cache
-
-        missing: List[int] = []
-        for page in range(first_page, last_page + 1):
-            if not cache.lookup((ino, page)):
-                missing.append(page)
+        missing = self.cache.lookup_pages(inode.number, range(first_page, last_page + 1))
 
         # One jittered CPU charge covering syscall entry, page lookups and copyout.
         latency = self._cpu_ns(
@@ -318,6 +312,9 @@ class VFS:
         cluster = self.fs.cluster_pages
         ranges: List[Tuple[int, int]] = []
         for page in missing_pages:
+            if ranges and page < ranges[-1][0] + ranges[-1][1]:
+                # Inside a range of whole clusters, so its cluster is too.
+                continue
             start, count = cluster_range(min(page, file_pages - 1), cluster, file_pages)
             if ranges and start <= ranges[-1][0] + ranges[-1][1]:
                 prev_start, prev_count = ranges[-1]
@@ -332,10 +329,7 @@ class VFS:
         evicted_dirty: List[PageKey] = []
         for start, count in ranges:
             requests.extend(self.fs.map_read(inode, start, count))
-            for page in range(start, start + count):
-                for victim, was_dirty in cache.insert((ino, page)):
-                    if was_dirty:
-                        evicted_dirty.append(victim)
+            evicted_dirty += cache.insert_pages(ino, range(start, start + count))
 
         latency = self._device_wait_and_service(requests)
         if evicted_dirty:
@@ -346,15 +340,11 @@ class VFS:
         """Asynchronous readahead: populate the cache, occupy the device."""
         ino = inode.number
         cache = self.cache
-        needed = [p for p in range(start_page, start_page + count) if not cache.peek((ino, p))]
+        needed = cache.absent_pages(ino, range(start_page, start_page + count))
         if not needed:
             return
         requests = self.fs.map_read(inode, needed[0], needed[-1] - needed[0] + 1)
-        evicted_dirty: List[PageKey] = []
-        for page in needed:
-            for victim, was_dirty in cache.insert((ino, page)):
-                if was_dirty:
-                    evicted_dirty.append(victim)
+        evicted_dirty = cache.insert_pages(ino, needed)
         self._device_async(requests)
         if evicted_dirty:
             self._writeback_keys(evicted_dirty, synchronous=False)
@@ -397,11 +387,7 @@ class VFS:
         if rmw_pages:
             latency += self._fault_in(inode, rmw_pages)
 
-        evicted_dirty: List[PageKey] = []
-        for page in range(first_page, last_page + 1):
-            for victim, was_dirty in cache.insert((ino, page), dirty=True):
-                if was_dirty:
-                    evicted_dirty.append(victim)
+        evicted_dirty = cache.insert_pages(ino, range(first_page, last_page + 1), dirty=True)
         if evicted_dirty:
             latency += self._writeback_keys(evicted_dirty, synchronous=True)
 
@@ -489,8 +475,6 @@ class VFS:
                 for victim, was_dirty in self.cache.insert(key):
                     if was_dirty:
                         latency += self._writeback_keys([victim], synchronous=True)
-        for key in cost.cache_fill_keys:
-            self.cache.insert(key)
         for key in cost.dirty_page_keys:
             evicted = self.cache.insert(key, dirty=True)
             for victim, was_dirty in evicted:
@@ -570,8 +554,7 @@ class VFS:
         old_pages = self.file_pages(inode)
         cost = self.fs.truncate(path, size_bytes, self.clock.now_ns)
         keep_pages = -(-size_bytes // self.page_size)
-        for page in range(keep_pages, old_pages):
-            self.cache.invalidate((inode.number, page))
+        self.cache.invalidate_inode(inode.number, old_pages, first_page=keep_pages)
         latency += self._apply_cost(cost)
         self.stats.truncates += 1
         self.clock.advance(latency)

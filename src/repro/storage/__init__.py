@@ -45,7 +45,6 @@ from repro.storage.cache import (
     CachePolicy,
     CacheStats,
     PageCache,
-    make_cache,
 )
 from repro.storage.device import (
     SCHEDULER_REGISTRY,
@@ -90,7 +89,6 @@ __all__ = [
     "CachePolicy",
     "CacheStats",
     "PageCache",
-    "make_cache",
     "BlockDevice",
     "IORequest",
     "IOScheduler",

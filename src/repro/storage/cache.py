@@ -6,14 +6,20 @@ paper's case study: whether a working set fits in it determines whether a
 page-granular; keys are ``(inode_number, page_index)`` tuples supplied by the
 VFS layer.
 
-Four eviction policies are provided:
+Five eviction policies are provided:
 
 * :class:`LRUPolicy` -- strict least-recently-used (a good stand-in for the
   paper-era Linux page cache behaviour under random reads).
+* :class:`FIFOPolicy` -- insertion order; LRU without promotion on a hit.
 * :class:`ClockPolicy` -- second-chance / CLOCK, closer to what Linux actually
   implements.
 * :class:`ARCPolicy` -- Adaptive Replacement Cache, scan-resistant.
 * :class:`TwoQPolicy` -- the 2Q algorithm (A1in/A1out/Am queues).
+
+The VFS data path works on runs of one file's pages through
+:meth:`PageCache.lookup_pages`, :meth:`PageCache.absent_pages` and
+:meth:`PageCache.insert_pages`, which leave the cache exactly as the
+single-key calls page by page would.
 
 The ablation benchmark ``benchmarks/test_bench_ablation_cache.py`` sweeps the
 Figure-1 experiment across these policies to show how much of the published
@@ -26,7 +32,8 @@ from abc import ABC, abstractmethod
 from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Hashable, List, Set, Tuple
+from itertools import repeat
+from typing import Dict, Hashable, Iterable, List, Sequence, Set, Tuple
 
 from repro.obs.metrics import MetricSource
 
@@ -73,7 +80,10 @@ class EvictionPolicy(ABC):
     """Bookkeeping interface used by :class:`PageCache`.
 
     A policy tracks *which* resident page should be evicted next; the cache
-    itself tracks residency and dirtiness.
+    itself tracks residency and dirtiness.  The batched :meth:`lookup_many`
+    and :meth:`insert_many` are handed the cache's sets and run its per-page
+    steps over a run of one file's pages, so that a policy can replace the
+    generic loop with one specialised to its own structure.
     """
 
     @abstractmethod
@@ -100,6 +110,68 @@ class EvictionPolicy(ABC):
     def clear(self) -> None:
         """Forget everything."""
 
+    def lookup_many(
+        self, inode_number: int, pages: Iterable[int], resident: Set[PageKey]
+    ) -> List[int]:
+        """Run the policy side of :meth:`PageCache.lookup` over one file's pages.
+
+        ``resident`` is the cache's resident set.  Each resident page gets
+        :meth:`on_hit`, in page order; the pages that are not resident are
+        returned, in order.
+        """
+        on_hit = self.on_hit
+        missing: List[int] = []
+        for page in pages:
+            key = (inode_number, page)
+            if key in resident:
+                on_hit(key)
+            else:
+                missing.append(page)
+        return missing
+
+    def insert_many(
+        self,
+        inode_number: int,
+        pages: Sequence[int],
+        resident: Set[PageKey],
+        dirty: Set[PageKey],
+        mark_dirty: bool,
+        capacity: int,
+    ) -> Tuple[int, List[PageKey]]:
+        """Run :meth:`PageCache.insert` for each of one file's pages, in order.
+
+        ``resident`` and ``dirty`` are the cache's own sets and are updated in
+        place; ``capacity`` is positive.  A resident page is promoted (and
+        marked dirty if ``mark_dirty``); any other page evicts victims until
+        it fits, then becomes resident.  Returns the number of pages newly
+        made resident and the victims that were dirty, in eviction order;
+        clean victims are not collected.
+        """
+        on_hit, on_insert = self.on_hit, self.on_insert
+        select_victim = self.select_victim
+        add, remove = resident.add, resident.remove
+        dirty_victims: List[PageKey] = []
+        hits = 0
+        for page in pages:
+            key = (inode_number, page)
+            if key in resident:
+                on_hit(key)
+                if mark_dirty:
+                    dirty.add(key)
+                hits += 1
+                continue
+            while len(resident) >= capacity:
+                victim = select_victim()
+                remove(victim)
+                if victim in dirty:
+                    dirty.remove(victim)
+                    dirty_victims.append(victim)
+            add(key)
+            if mark_dirty:
+                dirty.add(key)
+            on_insert(key)
+        return len(pages) - hits, dirty_victims
+
     @abstractmethod
     def resident_order(self) -> List[Hashable]:
         """Resident keys ordered so that re-inserting them into a fresh policy
@@ -113,8 +185,16 @@ class EvictionPolicy(ABC):
         """
 
 
-class LRUPolicy(EvictionPolicy):
-    """Strict least-recently-used ordering."""
+class OrderedPolicy(EvictionPolicy):
+    """Victims leave in the order of one ``OrderedDict``, oldest first.
+
+    The base of :class:`LRUPolicy` and :class:`FIFOPolicy`, which differ only
+    in whether a hit moves the page to the back of the order.  Its
+    :meth:`lookup_many` and :meth:`insert_many` run on the dict's C methods.
+    """
+
+    #: Whether a hit (or a re-insert of a resident page) promotes the page.
+    promotes = True
 
     def __init__(self) -> None:
         self._order: "OrderedDict[Hashable, None]" = OrderedDict()
@@ -122,12 +202,67 @@ class LRUPolicy(EvictionPolicy):
     def on_hit(self, key: Hashable) -> None:
         self._order.move_to_end(key)
 
+    def lookup_many(
+        self, inode_number: int, pages: Iterable[int], resident: Set[PageKey]
+    ) -> List[int]:
+        if not self.promotes:
+            return [page for page in pages if (inode_number, page) not in resident]
+        move_to_end = self._order.move_to_end
+        missing: List[int] = []
+        for page in pages:
+            key = (inode_number, page)
+            if key in resident:
+                move_to_end(key)
+            else:
+                missing.append(page)
+        return missing
+
     def on_insert(self, key: Hashable) -> None:
         self._order[key] = None
 
     def select_victim(self) -> Hashable:
         key, _ = self._order.popitem(last=False)
         return key
+
+    def insert_many(
+        self,
+        inode_number: int,
+        pages: Sequence[int],
+        resident: Set[PageKey],
+        dirty: Set[PageKey],
+        mark_dirty: bool,
+        capacity: int,
+    ) -> Tuple[int, List[PageKey]]:
+        # The generic loop with on_hit, select_victim and on_insert inlined
+        # as the dict's C methods, and the resident count kept in a local.
+        order = self._order
+        popitem = order.popitem
+        add, remove = resident.add, resident.remove
+        dirty_victims: List[PageKey] = []
+        hits = 0
+        size = len(resident)
+        for page in pages:
+            key = (inode_number, page)
+            if key in resident:
+                if self.promotes:
+                    order.move_to_end(key)
+                if mark_dirty:
+                    dirty.add(key)
+                hits += 1
+                continue
+            while size >= capacity:
+                victim = popitem(False)[0]
+                remove(victim)
+                size -= 1
+                if victim in dirty:
+                    dirty.remove(victim)
+                    dirty_victims.append(victim)
+            add(key)
+            order[key] = None
+            size += 1
+            if mark_dirty:
+                dirty.add(key)
+        return len(pages) - hits, dirty_victims
 
     def discard(self, key: Hashable) -> None:
         self._order.pop(key, None)
@@ -139,31 +274,17 @@ class LRUPolicy(EvictionPolicy):
         return list(self._order)
 
 
-class FIFOPolicy(EvictionPolicy):
+class LRUPolicy(OrderedPolicy):
+    """Strict least-recently-used ordering."""
+
+
+class FIFOPolicy(OrderedPolicy):
     """First-in first-out: insertion order, accesses do not promote."""
 
-    def __init__(self) -> None:
-        self._order: "OrderedDict[Hashable, None]" = OrderedDict()
+    promotes = False
 
     def on_hit(self, key: Hashable) -> None:
-        # FIFO ignores recency.
         return
-
-    def on_insert(self, key: Hashable) -> None:
-        self._order[key] = None
-
-    def select_victim(self) -> Hashable:
-        key, _ = self._order.popitem(last=False)
-        return key
-
-    def discard(self, key: Hashable) -> None:
-        self._order.pop(key, None)
-
-    def clear(self) -> None:
-        self._order.clear()
-
-    def resident_order(self) -> List[Hashable]:
-        return list(self._order)
 
 
 class ClockPolicy(EvictionPolicy):
@@ -357,17 +478,20 @@ def _make_policy(policy: CachePolicy, capacity_pages: int) -> EvictionPolicy:
     raise ValueError(f"unknown cache policy: {policy!r}")
 
 
-def _keys_below(keys: Set[PageKey], inode_number: int, page_count: int) -> List[PageKey]:
-    """The keys ``(inode_number, p)`` in ``keys`` with ``p < page_count``, ascending.
+def _keys_in(keys: Set[PageKey], inode_number: int, first_page: int, end_page: int) -> List[PageKey]:
+    """The keys ``(inode_number, p)`` in ``keys`` with ``first_page <= p < end_page``, ascending.
 
-    Costs O(min(page_count, len(keys))): probes the file's pages when it has
-    fewer pages than ``keys`` has members, scans ``keys`` otherwise (a large
-    file with a small dirty set, as an fsync after each append has).
+    Costs O(min(end_page - first_page, len(keys))): probes the pages when
+    there are no more of them than ``keys`` has members, scans ``keys``
+    otherwise (a large file with a small dirty set, as an fsync after each
+    append has).
     """
-    if page_count <= len(keys):
-        probes = ((inode_number, page) for page in range(page_count))
+    if end_page - first_page <= len(keys):
+        probes = zip(repeat(inode_number), range(first_page, end_page))
         return [key for key in probes if key in keys]
-    return sorted(key for key in keys if key[0] == inode_number and key[1] < page_count)
+    return sorted(
+        key for key in keys if key[0] == inode_number and first_page <= key[1] < end_page
+    )
 
 
 class PageCache:
@@ -432,7 +556,7 @@ class PageCache:
         ever cached (see :meth:`invalidate_inode`), so this is every dirty
         page of the file.
         """
-        return _keys_below(self._dirty, inode_number, page_count)
+        return _keys_in(self._dirty, inode_number, 0, page_count)
 
     # --------------------------------------------------------------- actions
     def lookup(self, key: PageKey) -> bool:
@@ -482,6 +606,48 @@ class PageCache:
         self.stats.insertions += 1
         return evicted
 
+    def lookup_pages(self, inode_number: int, pages: Sequence[int]) -> List[int]:
+        """:meth:`lookup` each of one file's ``pages`` in order; returns the misses.
+
+        Hits and misses are counted and the hits promoted in page order, so
+        the cache ends exactly as the per-page calls would leave it.
+        """
+        missing = self._policy.lookup_many(inode_number, pages, self._resident)
+        stats = self.stats
+        misses = len(missing)
+        stats.hits += len(pages) - misses
+        stats.misses += misses
+        return missing
+
+    def absent_pages(self, inode_number: int, pages: Iterable[int]) -> List[int]:
+        """The ``pages`` of one file that are not resident, in order (a batched :meth:`peek`)."""
+        resident = self._resident
+        return [page for page in pages if (inode_number, page) not in resident]
+
+    def insert_pages(
+        self, inode_number: int, pages: Sequence[int], dirty: bool = False
+    ) -> List[PageKey]:
+        """:meth:`insert` each of one file's ``pages`` in order; returns the dirty victims.
+
+        Evictions, statistics and policy state end exactly as the per-page
+        calls leave them.  Only the victims that were dirty are returned, in
+        eviction order: they are the ones the caller must write back.  The
+        clean ones are counted in :attr:`stats` but never collected.
+        """
+        if self.capacity_pages == 0:
+            return []
+        resident = self._resident
+        before = len(resident)
+        inserted, dirty_victims = self._policy.insert_many(
+            inode_number, pages, resident, self._dirty, dirty, self.capacity_pages
+        )
+        stats = self.stats
+        stats.insertions += inserted
+        # Each new page adds one resident page and each eviction removes one.
+        stats.evictions += inserted - (len(resident) - before)
+        stats.dirty_evictions += len(dirty_victims)
+        return dirty_victims
+
     def mark_dirty(self, key: PageKey) -> None:
         """Mark a resident page dirty (no-op if the page is not resident)."""
         if key in self._resident:
@@ -510,16 +676,17 @@ class PageCache:
         self.stats.invalidations += 1
         return True
 
-    def invalidate_inode(self, inode_number: int, page_count: int) -> int:
-        """Drop pages ``0..page_count-1`` of one file, in page order.
+    def invalidate_inode(self, inode_number: int, page_count: int, first_page: int = 0) -> int:
+        """Drop pages ``first_page..page_count-1`` of one file, in page order.
 
         Returns the number of pages dropped.  Callers pass the file's page
-        count, which makes this every cached page of the file: the VFS never
-        caches a page at or past it (reads clamp to EOF, faults and readahead
-        clamp to the file's pages, writes grow the size before inserting,
-        and truncate drops the pages it cuts off).
+        count, which makes this every cached page of the file from
+        ``first_page`` on: the VFS never caches a page at or past it (reads
+        clamp to EOF, faults and readahead clamp to the file's pages, writes
+        grow the size before inserting, and truncate drops the pages it cuts
+        off with ``first_page`` set to the new page count).
         """
-        victims = _keys_below(self._resident, inode_number, page_count)
+        victims = _keys_in(self._resident, inode_number, first_page, page_count)
         for key in victims:
             self._resident.remove(key)
             self._dirty.discard(key)
@@ -584,20 +751,31 @@ class PageCache:
             evicted.append((victim, was_dirty))
         return evicted
 
+    def check_invariants(self) -> None:
+        """Raise ``AssertionError`` if the cache's bookkeeping is inconsistent.
+
+        Checks that the dirty pages are resident, that no more pages are
+        resident than the capacity allows, and that the policy's
+        :meth:`~EvictionPolicy.resident_order` is a permutation of the
+        resident set.
+        """
+        if not self._dirty <= self._resident:
+            stray = sorted(self._dirty - self._resident)[:5]
+            raise AssertionError(f"dirty pages not resident: {stray}")
+        if len(self._resident) > self.capacity_pages:
+            raise AssertionError(
+                f"{len(self._resident)} resident pages exceed capacity {self.capacity_pages}"
+            )
+        order = self._policy.resident_order()
+        if len(order) != len(self._resident) or set(order) != self._resident:
+            raise AssertionError(
+                f"policy order ({len(order)} keys) is not a permutation of "
+                f"the {len(self._resident)} resident pages"
+            )
+
     def __repr__(self) -> str:
         mb = self.capacity_bytes / (1024 * 1024)
         return (
             f"PageCache({self.policy_name.value}, {mb:.0f}MiB, "
             f"{len(self._resident)}/{self.capacity_pages} pages)"
         )
-
-
-def make_cache(
-    capacity_bytes: int,
-    page_size: int = 4096,
-    policy: CachePolicy = CachePolicy.LRU,
-) -> PageCache:
-    """Convenience constructor taking a byte capacity instead of a page count."""
-    if capacity_bytes < 0:
-        raise ValueError("capacity_bytes must be non-negative")
-    return PageCache(capacity_bytes // page_size, policy=policy, page_size=page_size)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.storage.cache import CachePolicy, PageCache, make_cache
+from repro.storage.cache import CachePolicy, PageCache
 
 
 def fill(cache: PageCache, count: int, inode: int = 1):
@@ -64,11 +64,6 @@ class TestPageCacheBasics:
         with pytest.raises(ValueError):
             PageCache(capacity_pages=-1)
 
-    def test_make_cache_converts_bytes_to_pages(self):
-        cache = make_cache(1024 * 1024, page_size=4096)
-        assert cache.capacity_pages == 256
-        assert cache.capacity_bytes == 1024 * 1024
-
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
             PageCache(capacity_pages=4, policy="mru")
@@ -126,6 +121,20 @@ class TestInvalidation:
         assert dropped == 3
         assert cache.resident_pages_of(1) == 0
         assert cache.resident_pages_of(2) == 3
+
+    def test_invalidate_inode_from_a_first_page_drops_only_the_tail(self):
+        cache = PageCache(capacity_pages=10)
+        fill(cache, 6, inode=1)
+        cache.insert((1, 4), dirty=True)
+        assert cache.invalidate_inode(1, 6, first_page=3) == 3
+        assert cache.stats.invalidations == 3
+        assert cache.dirty_pages == 0
+        assert cache.absent_pages(1, range(6)) == [3, 4, 5]
+        # A file larger than the resident set takes the scan, with the same bounds.
+        fill(cache, 6, inode=1)
+        assert cache.invalidate_inode(1, 10**12, first_page=5) == 1
+        assert cache.absent_pages(1, range(6)) == [5]
+        cache.check_invariants()
 
     def test_invalidate_inode_probes_only_the_given_page_count(self):
         cache = PageCache(capacity_pages=10)
@@ -205,6 +214,21 @@ class TestLRUBehaviour:
         cache.lookup((1, 0))
         evicted = cache.insert((1, 3))
         assert evicted[0][0] == (1, 0)
+
+    def test_batched_run_that_hits_and_evicts_returns_dirty_lru_victims(self):
+        cache = PageCache(capacity_pages=4, policy=CachePolicy.LRU)
+        assert cache.insert_pages(1, [0, 1]) == []
+        assert cache.insert_pages(1, [2, 3], dirty=True) == []
+        # 1 hits and moves behind 3; then 4, 5 and 6 evict 0 (clean), 2 and 3.
+        assert cache.insert_pages(1, [1, 4, 5, 6]) == [(1, 2), (1, 3)]
+        assert cache.export_state() == ([(1, 1), (1, 4), (1, 5), (1, 6)], [])
+        assert (cache.stats.insertions, cache.stats.evictions, cache.stats.dirty_evictions) == (7, 3, 2)
+        # Hits are promoted in page order; only the miss is returned.
+        assert cache.lookup_pages(1, [4, 0, 5]) == [0]
+        assert cache.export_state()[0] == [(1, 1), (1, 6), (1, 4), (1, 5)]
+        assert (cache.stats.hits, cache.stats.misses) == (2, 1)
+        assert cache.absent_pages(1, range(3)) == [0, 2]
+        assert cache.stats.accesses == 3
 
     def test_clock_gives_second_chance(self):
         cache = PageCache(capacity_pages=3, policy=CachePolicy.CLOCK)

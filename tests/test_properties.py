@@ -46,6 +46,7 @@ def test_cache_never_exceeds_capacity_and_dirty_subset_of_resident(ops, capacity
             cache.lookup(key)
         else:
             cache.invalidate(key)
+        cache.check_invariants()
         assert len(cache) <= capacity
         assert cache.dirty_pages <= len(cache)
         for dirty_key in cache.dirty_keys():
@@ -67,6 +68,7 @@ def test_cache_insert_makes_key_resident(ops, capacity, policy):
         else:
             cache.invalidate(key)
             assert not cache.peek(key)
+        cache.check_invariants()
 
 
 @given(accesses=st.lists(st.integers(min_value=0, max_value=500), min_size=1, max_size=400),
@@ -77,10 +79,64 @@ def test_cache_stats_consistent(accesses, capacity):
     for page in accesses:
         if not cache.lookup((0, page)):
             cache.insert((0, page))
+        cache.check_invariants()
     assert cache.stats.accesses == len(accesses)
     assert cache.stats.hits + cache.stats.misses == len(accesses)
     assert cache.stats.insertions <= cache.stats.misses
     assert 0.0 <= cache.stats.hit_ratio <= 1.0
+
+
+batched_cache_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["lookup", "absent", "insert", "dirty_insert", "invalidate"]),
+        st.integers(min_value=0, max_value=2),   # inode
+        st.integers(min_value=0, max_value=40),  # first page
+        st.integers(min_value=0, max_value=12),  # page count
+        st.integers(min_value=1, max_value=3),   # stride between pages
+    ),
+    max_size=60,
+)
+
+
+@given(ops=batched_cache_ops, capacity=st.integers(min_value=0, max_value=32),
+       policy=st.sampled_from(list(CachePolicy)))
+@settings(max_examples=150, deadline=None)
+def test_batched_cache_calls_match_per_page_calls(ops, capacity, policy):
+    """``lookup_pages``/``absent_pages``/``insert_pages`` and a ranged
+    ``invalidate_inode`` leave the cache exactly as the single-key calls do.
+
+    Runs partly hit, partly miss and overflow the capacity; the dirty
+    victims must be the dirty subset of the per-page evictions, in order.
+    """
+    batched = PageCache(capacity_pages=capacity, policy=policy)
+    twin = PageCache(capacity_pages=capacity, policy=policy)
+    for op, inode, first, count, stride in ops:
+        pages = range(first, first + count * stride, stride)
+        if op == "lookup":
+            expected = [page for page in pages if not twin.lookup((inode, page))]
+            assert batched.lookup_pages(inode, pages) == expected
+        elif op == "absent":
+            expected = [page for page in pages if not twin.peek((inode, page))]
+            assert batched.absent_pages(inode, pages) == expected
+        elif op in ("insert", "dirty_insert"):
+            dirty = op == "dirty_insert"
+            expected = [
+                victim
+                for page in pages
+                for victim, was_dirty in twin.insert((inode, page), dirty=dirty)
+                if was_dirty
+            ]
+            assert batched.insert_pages(inode, pages, dirty=dirty) == expected
+        else:
+            dropped = sum(twin.invalidate((inode, page)) for page in range(first, first + count))
+            assert batched.invalidate_inode(inode, first + count, first_page=first) == dropped
+        assert batched.stats == twin.stats
+        assert batched.export_state() == twin.export_state()
+        assert batched.dirty_keys() == twin.dirty_keys()
+        # Ghost lists, reference bits and ARC's target size as well.
+        assert vars(batched._policy) == vars(twin._policy)
+        batched.check_invariants()
+        twin.check_invariants()
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +312,7 @@ def test_no_cached_page_at_or_past_a_files_page_count(fs_type, ops):
                 vfs.fsync(fd)
                 assert not any(key[0] == inode.number for key in cache.dirty_keys())
             vfs.close(fd)
+        cache.check_invariants()
         page_limit = {inode.number: vfs.file_pages(inode) for inode in live.values()}
         resident, _ = cache.export_state()
         for ino, page in resident:
